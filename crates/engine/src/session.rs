@@ -439,6 +439,8 @@ pub fn session_key(cfg: &FlowConfig) -> Result<u64, FlowError> {
     h.f64(cfg.slack_factor);
     h.f64(cfg.eta);
     h.usize(cfg.mc_samples);
+    h.str(&cfg.mc_sampling.to_string());
+    h.bytes(&cfg.mc_seed.to_le_bytes());
     h.bool(cfg.wire_loads);
     let v = &cfg.variation;
     h.f64(v.sigma_l_rel);
@@ -473,10 +475,35 @@ mod tests {
             .build()
             .unwrap();
         assert_ne!(base, session_key(&loose).unwrap());
+        let mc = |seed: u64, sampler: &str| {
+            let cfg = FlowConfig::builder("c17")
+                .mc_samples(0)
+                .mc_seed(seed)
+                .mc_sampler(sampler.parse().expect("valid sampler"))
+                .build()
+                .unwrap();
+            session_key(&cfg).unwrap()
+        };
+        assert_ne!(mc(1, "plain"), mc(2, "plain"));
+        assert_ne!(mc(1, "plain"), mc(1, "sobol"));
+        assert_ne!(mc(1, "sobol"), mc(1, "sobol+cv"));
         assert!(matches!(
             session_key(&cfg("c9999")),
             Err(FlowError::UnknownBenchmark(_))
         ));
+    }
+
+    #[test]
+    fn comparison_requests_differing_only_in_mc_seed_get_distinct_sessions() {
+        let key = |line: &str| {
+            let req = crate::proto::parse_request(line)
+                .map_err(|(e, _)| e)
+                .expect("valid request");
+            session_key(crate::proto::op_config(&req.op).expect("flow op")).unwrap()
+        };
+        let a = key(r#"{"id":1,"op":"comparison","benchmark":"c17","mc_samples":100,"mc_seed":1}"#);
+        let b = key(r#"{"id":1,"op":"comparison","benchmark":"c17","mc_samples":100,"mc_seed":2}"#);
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! protecting yield requires a guard band, which hands back much of the
 //! leakage saving. The statistical optimizer removes the corner blindness.
 
-use crate::seeds_for_change;
+use crate::{seeds_for_resize, seeds_for_vth_swap};
 use rayon::prelude::*;
 use statleak_netlist::NodeId;
 use statleak_obs as obs;
@@ -111,7 +111,8 @@ impl DeterministicOptimizer {
             );
             for g in candidates {
                 design.set_vth(g, VthClass::High);
-                let undo = sta.recompute_cone(design, &seeds_for_change(design, g, false));
+                let undo =
+                    sta.recompute_cone(design, &seeds_for_vth_swap(design, g, VthClass::Low));
                 if sta.circuit_delay() <= budget + 1e-9 {
                     accepted += 1;
                 } else {
@@ -133,7 +134,7 @@ impl DeterministicOptimizer {
                     continue;
                 };
                 design.set_size(g, down);
-                let undo = sta.recompute_cone(design, &seeds_for_change(design, g, true));
+                let undo = sta.recompute_cone(design, &seeds_for_resize(design, g));
                 if sta.circuit_delay() <= budget + 1e-9 {
                     accepted += 1;
                     downsized += 1;

@@ -122,21 +122,121 @@ pub(crate) fn rank_vth_candidates(
     rank_vth_candidates_by(candidates, |g| vth_penalty(design, g), slack_of, leak_of);
 }
 
-/// Seed set for an incremental timing update after changing gate `g`:
-/// the gate itself plus, if its input capacitance changed (resize), its
-/// fanin drivers whose load changed.
-pub(crate) fn seeds_for_change(design: &Design, g: NodeId, size_changed: bool) -> Vec<NodeId> {
+/// Seed set for an incremental timing update after resizing gate `g`:
+/// the gate itself plus its fanin drivers, whose load changed with `g`'s
+/// input capacitance.
+pub(crate) fn seeds_for_resize(design: &Design, g: NodeId) -> Vec<NodeId> {
+    let circuit = design.circuit();
     let mut seeds = vec![g];
-    if size_changed {
-        seeds.extend(
-            design
-                .circuit()
-                .node(g)
-                .fanin
-                .iter()
-                .copied()
-                .filter(|f| design.circuit().node(*f).kind.is_gate()),
-        );
-    }
+    seeds.extend(
+        circuit
+            .fanin(g)
+            .iter()
+            .copied()
+            .filter(|&f| circuit.kind(f).is_gate()),
+    );
     seeds
+}
+
+/// Seed set for an incremental timing update after swapping gate `g` from
+/// flavor `from` to its current one: the gate itself, plus its fanin
+/// drivers when the library gives the two flavors different pin
+/// capacitances (then the drivers' loads changed too).
+pub(crate) fn seeds_for_vth_swap(design: &Design, g: NodeId, from: VthClass) -> Vec<NodeId> {
+    let circuit = design.circuit();
+    let cap = |vth| {
+        design
+            .library()
+            .input_cap(circuit.kind(g), circuit.fanin(g).len(), design.size(g), vth)
+    };
+    if cap(from) == cap(design.vth(g)) {
+        vec![g]
+    } else {
+        seeds_for_resize(design, g)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use statleak_netlist::{benchmarks, placement::Placement};
+    use statleak_ssta::Ssta;
+    use statleak_sta::Sta;
+    use statleak_tech::liberty::parse_library;
+    use statleak_tech::{FactorModel, LibertyLibrary, Technology, VariationConfig};
+    use std::sync::Arc;
+
+    /// A two-cell library whose HVT NAND2 presents a larger pin
+    /// capacitance than its LVT twin, so a Vth swap also changes the
+    /// loads on the swapped gate's drivers.
+    const CAP_SPLIT_LIB: &str = r#"
+library (capsplit) {
+  cell (NAND2_X1_LVT) {
+    cell_leakage_power : 2.0;
+    pin (A) { direction : input; capacitance : 1.0; }
+    pin (B) { direction : input; capacitance : 1.0; }
+    pin (Y) {
+      direction : output;
+      timing () { related_pin : "A"; intrinsic_rise : 10.0; rise_resistance : 2.0; }
+    }
+  }
+  cell (NAND2_X1_HVT) {
+    cell_leakage_power : 0.5;
+    pin (A) { direction : input; capacitance : 1.6; }
+    pin (B) { direction : input; capacitance : 1.6; }
+    pin (Y) {
+      direction : output;
+      timing () { related_pin : "A"; intrinsic_rise : 14.0; rise_resistance : 2.8; }
+    }
+  }
+}
+"#;
+
+    fn cap_split_design() -> Design {
+        let tech = Technology::ptm100();
+        let parsed = parse_library(CAP_SPLIT_LIB).expect("inline library parses");
+        let lib = LibertyLibrary::from_library(parsed, tech.clone(), "liberty:capsplit".into())
+            .expect("cells classify");
+        Design::with_library(Arc::new(benchmarks::c17()), tech, Arc::new(lib))
+    }
+
+    #[test]
+    fn vth_swap_seeds_drivers_when_pin_cap_changes() {
+        let mut design = cap_split_design();
+        let circuit = design.circuit_arc();
+        let fm = FactorModel::build(
+            &circuit,
+            &Placement::by_level(&circuit),
+            design.tech(),
+            &VariationConfig::ptm100(),
+        )
+        .expect("factors");
+        // A gate driven by at least one other gate.
+        let g = circuit
+            .gates()
+            .find(|&g| circuit.fanin(g).iter().any(|&f| circuit.kind(f).is_gate()))
+            .expect("c17 has gate-driven gates");
+        let mut sta = Sta::analyze(&design);
+        let mut ssta = Ssta::analyze(&design, &fm);
+        design.set_vth(g, VthClass::High);
+        let seeds = seeds_for_vth_swap(&design, g, VthClass::Low);
+        assert!(seeds.len() > 1, "drivers must be seeded: {seeds:?}");
+        sta.recompute_cone(&design, &seeds);
+        ssta.recompute_cone(&design, &fm, &seeds);
+        assert_eq!(sta, Sta::analyze(&design));
+        assert_eq!(ssta, Ssta::analyze(&design, &fm));
+
+        // Seeding the gate alone misses the drivers' load change.
+        let mut stale = Sta::analyze(&cap_split_design());
+        stale.recompute_cone(&design, &[g]);
+        assert_ne!(stale, Sta::analyze(&design));
+    }
+
+    #[test]
+    fn vth_swap_seeds_only_the_gate_when_pin_cap_is_flavor_blind() {
+        let mut design = Design::new(Arc::new(benchmarks::c17()), Technology::ptm100());
+        let g = design.circuit().gates().last().expect("gates");
+        design.set_vth(g, VthClass::High);
+        assert_eq!(seeds_for_vth_swap(&design, g, VthClass::Low), vec![g]);
+    }
 }

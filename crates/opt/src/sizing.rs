@@ -7,7 +7,7 @@
 //! both the deterministic and statistical flows start from the *same*
 //! sized design, so the comparison between them is apples-to-apples.
 
-use crate::seeds_for_change;
+use crate::seeds_for_resize;
 use statleak_netlist::NodeId;
 use statleak_obs as obs;
 use statleak_sta::Sta;
@@ -50,7 +50,7 @@ fn best_upsize_step(design: &mut Design, sta: &mut Sta) -> Option<f64> {
             continue;
         };
         design.set_size(g, up);
-        let undo = sta.recompute_cone(design, &seeds_for_change(design, g, true));
+        let undo = sta.recompute_cone(design, &seeds_for_resize(design, g));
         let after = sta.circuit_delay();
         sta.undo(undo);
         design.set_size(g, old);
@@ -60,7 +60,7 @@ fn best_upsize_step(design: &mut Design, sta: &mut Sta) -> Option<f64> {
     }
     let (g, up, _) = best?;
     design.set_size(g, up);
-    sta.recompute_cone(design, &seeds_for_change(design, g, true));
+    sta.recompute_cone(design, &seeds_for_resize(design, g));
     Some(sta.circuit_delay())
 }
 
@@ -144,7 +144,7 @@ pub fn size_for_yield(
                 continue;
             };
             design.set_size(g, up);
-            let undo = ssta.recompute_cone(design, fm, &seeds_for_change(design, g, true));
+            let undo = ssta.recompute_cone(design, fm, &seeds_for_resize(design, g));
             let t_new = ssta.clock_for_yield(eta);
             ssta.undo(undo);
             design.set_size(g, old);
@@ -155,7 +155,7 @@ pub fn size_for_yield(
         match best {
             Some((g, up, _)) => {
                 design.set_size(g, up);
-                ssta.recompute_cone(design, fm, &seeds_for_change(design, g, true));
+                ssta.recompute_cone(design, fm, &seeds_for_resize(design, g));
             }
             None => {
                 // The mean-critical path is saturated or its single-path

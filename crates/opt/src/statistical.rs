@@ -16,7 +16,7 @@
 //! it refuses moves that look safe nominally but crater the yield. Both
 //! effects push the result to strictly better leakage at equal yield.
 
-use crate::seeds_for_change;
+use crate::{seeds_for_resize, seeds_for_vth_swap};
 use rayon::prelude::*;
 use statleak_leakage::LeakageAnalysis;
 use statleak_netlist::NodeId;
@@ -242,7 +242,7 @@ impl StatisticalOptimizer {
                     design.set_vth(g, target);
                     tried += 1;
                     let t_undo =
-                        ssta.recompute_cone(design, fm, &seeds_for_change(design, g, false));
+                        ssta.recompute_cone(design, fm, &seeds_for_vth_swap(design, g, current));
                     if ssta.timing_yield(self.t_clk) >= floor {
                         leak.update_gate(design, fm, g);
                         accepted += 1;
@@ -277,7 +277,7 @@ impl StatisticalOptimizer {
                 };
                 design.set_size(g, down);
                 tried += 1;
-                let t_undo = ssta.recompute_cone(design, fm, &seeds_for_change(design, g, true));
+                let t_undo = ssta.recompute_cone(design, fm, &seeds_for_resize(design, g));
                 if ssta.timing_yield(self.t_clk) >= floor {
                     leak.update_gate(design, fm, g);
                     accepted += 1;

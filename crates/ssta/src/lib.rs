@@ -74,15 +74,35 @@ pub fn gate_delay_canonical_into(
     id: NodeId,
     out: &mut Canonical,
 ) {
+    delay_canonical_into(fm, id, delay_sensitivities(design, id), out);
+}
+
+/// First-order delay scalars of one gate: `(d, ∂d/∂(ΔL/L), ∂d/∂ΔVth)`.
+type DelaySens = (f64, f64, f64);
+
+/// Marks a [`Ssta`] delay-cache slot not yet read from the design.
+const UNREAD: DelaySens = (f64::NAN, f64::NAN, f64::NAN);
+
+fn delay_sensitivities(design: &Design, id: NodeId) -> DelaySens {
     let circuit = design.circuit();
     debug_assert!(circuit.kind(id).is_gate(), "inputs have no delay");
-    let (d, dd_dl, dd_dvth) = design.library().delay_sensitivities(
+    design.library().delay_sensitivities(
         circuit.kind(id),
         circuit.fanin(id).len(),
         design.size(id),
         design.vth(id),
         design.load_cap(id),
-    );
+    )
+}
+
+/// Expands a gate's delay scalars into its canonical delay over the
+/// factor model.
+fn delay_canonical_into(
+    fm: &FactorModel,
+    id: NodeId,
+    (d, dd_dl, dd_dvth): DelaySens,
+    out: &mut Canonical,
+) {
     let (idx, val) = fm.l_shared_row(id);
     out.mean = d;
     // Scaling the factor row's nonzeros reproduces the dense
@@ -98,13 +118,17 @@ pub fn gate_delay_canonical_into(
 ///
 /// Besides the timing state proper (`arrival`, `circuit_delay`), the
 /// struct owns reusable scratch buffers so per-move incremental updates
-/// touch only the affected cone and perform no full-circuit allocation.
-/// Equality ([`PartialEq`]) compares only the timing state — scratch
-/// contents are incidental.
+/// touch only the affected cone and perform no full-circuit allocation,
+/// and a per-gate cache of delay scalars that [`Ssta::recompute_cone`]
+/// allocates on first use. Equality ([`PartialEq`]) compares only the
+/// timing state — cache and scratch contents are incidental.
 #[derive(Debug, Clone)]
 pub struct Ssta {
     arrival: Vec<Canonical>,
     circuit_delay: Canonical,
+    /// Delay scalars per node as of the last synchronized design; empty
+    /// until the first cone update, [`UNREAD`] where not yet read.
+    delays: Vec<DelaySens>,
     scratch: ConeScratch,
     work: Canonical,
     delay_work: Canonical,
@@ -117,10 +141,58 @@ impl PartialEq for Ssta {
 }
 
 /// Undo log for [`Ssta::recompute_cone`].
+///
+/// Flat: the overwritten forms are stored field by field, their
+/// sensitivities concatenated into one index and one value buffer, so an
+/// update allocates a handful of buffers however many arrivals change.
 #[derive(Debug, Clone)]
 pub struct SstaUndo {
-    changed: Vec<(u32, Canonical)>,
-    old_circuit_delay: Canonical,
+    /// Node id of each saved arrival, in save order.
+    nodes: Vec<u32>,
+    /// `(mean, local, variance)` of each saved form. One entry longer than
+    /// `nodes` when the circuit delay was saved (always last).
+    moments: Vec<(f64, f64, f64)>,
+    /// End offset of each saved form's entries in `idx`/`val`.
+    ends: Vec<usize>,
+    idx: Vec<u32>,
+    val: Vec<f64>,
+    /// Seed delay-cache slots as they were before the update.
+    delays: Vec<(u32, DelaySens)>,
+}
+
+impl SstaUndo {
+    fn with_capacity(cone_len: usize, seeds: usize) -> Self {
+        Self {
+            nodes: Vec::with_capacity(cone_len),
+            moments: Vec::with_capacity(cone_len + 1),
+            ends: Vec::with_capacity(cone_len + 1),
+            idx: Vec::new(),
+            val: Vec::new(),
+            delays: Vec::with_capacity(seeds),
+        }
+    }
+
+    fn save(&mut self, c: &Canonical) {
+        let (idx, val) = (c.shared.indices(), c.shared.values());
+        if self.idx.capacity() == 0 {
+            // Arrivals in one cone have similar sparsity, so the first
+            // saved form sizes the buffers for the whole update.
+            self.idx.reserve(self.ends.capacity() * idx.len());
+            self.val.reserve(self.ends.capacity() * idx.len());
+        }
+        self.moments.push((c.mean, c.local, c.variance));
+        self.idx.extend_from_slice(idx);
+        self.val.extend_from_slice(val);
+        self.ends.push(self.idx.len());
+    }
+
+    fn restore(&self, k: usize, c: &mut Canonical) {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] };
+        let end = self.ends[k];
+        (c.mean, c.local, c.variance) = self.moments[k];
+        c.shared
+            .assign_parts(&self.idx[start..end], &self.val[start..end]);
+    }
 }
 
 impl Ssta {
@@ -162,7 +234,8 @@ impl Ssta {
             } else {
                 for &id in ids {
                     debug_assert!(circuit.kind(id).is_gate(), "levels ≥ 1 hold only gates");
-                    Self::gate_arrival_into(design, fm, &arrival, id, &mut work, &mut delay);
+                    let sens = delay_sensitivities(design, id);
+                    Self::gate_arrival_into(circuit, fm, &arrival, id, sens, &mut work, &mut delay);
                     arrival[id.index()].clone_from_canonical(&work);
                 }
             }
@@ -176,10 +249,12 @@ impl Ssta {
                 }
             }
         }
-        let circuit_delay = Self::max_output_arrival(circuit, &arrival, ns);
+        let mut circuit_delay = Canonical::constant(0.0, ns);
+        Self::max_output_arrival_into(circuit, &arrival, &mut circuit_delay);
         Self {
             arrival,
             circuit_delay,
+            delays: Vec::new(),
             scratch: ConeScratch::new(),
             work,
             delay_work: delay,
@@ -194,42 +269,50 @@ impl Ssta {
     ) -> Canonical {
         let mut out = Canonical::constant(0.0, fm.num_shared());
         let mut delay = Canonical::constant(0.0, fm.num_shared());
-        Self::gate_arrival_into(design, fm, arrival, id, &mut out, &mut delay);
+        let sens = delay_sensitivities(design, id);
+        Self::gate_arrival_into(
+            design.circuit(),
+            fm,
+            arrival,
+            id,
+            sens,
+            &mut out,
+            &mut delay,
+        );
         out
     }
 
-    /// Computes a gate's canonical arrival into `out` using only in-place
-    /// canonical ops; `delay` is a second scratch for the gate's own delay.
-    /// The fold order (fanin list order, accumulator first) matches the
-    /// historical allocating implementation, so results are bit-identical.
+    /// Computes a gate's canonical arrival into `out` from its delay
+    /// scalars, using only in-place canonical ops; `delay` is a second
+    /// scratch for the gate's own delay. The fold order (fanin list order,
+    /// accumulator first) matches the historical allocating
+    /// implementation, so results are bit-identical.
     fn gate_arrival_into(
-        design: &Design,
+        circuit: &Circuit,
         fm: &FactorModel,
         arrival: &[Canonical],
         id: NodeId,
+        sens: DelaySens,
         out: &mut Canonical,
         delay: &mut Canonical,
     ) {
-        let mut fanin = design.circuit().fanin(id).iter();
+        let mut fanin = circuit.fanin(id).iter();
         let first = fanin.next().expect("gates have fanin");
         out.clone_from_canonical(&arrival[first.index()]);
         for &f in fanin {
             out.stat_max_into(&arrival[f.index()]);
         }
-        gate_delay_canonical_into(design, fm, id, delay);
+        delay_canonical_into(fm, id, sens, delay);
         out.add_assign(delay);
     }
 
-    fn max_output_arrival(
-        circuit: &Circuit,
-        arrival: &[Canonical],
-        num_shared: usize,
-    ) -> Canonical {
-        let mut worst = Canonical::constant(0.0, num_shared);
+    /// Folds the output arrivals into `out` in place; bit-identical to the
+    /// allocating `worst = worst.stat_max(a)` fold from a zero constant.
+    fn max_output_arrival_into(circuit: &Circuit, arrival: &[Canonical], out: &mut Canonical) {
+        out.set_constant(0.0);
         for &o in circuit.outputs() {
-            worst = worst.stat_max(&arrival[o.index()]);
+            out.stat_max_into(&arrival[o.index()]);
         }
-        worst
     }
 
     /// The canonical arrival time of a node.
@@ -269,12 +352,21 @@ impl Ssta {
     /// deterministic `Sta::recompute_cone`: include every node whose own
     /// delay may have changed).
     ///
+    /// The seed contract is load-bearing: gate delays are cached, and only
+    /// the seeds' entries are re-read from the design. The cache is
+    /// allocated on the first call and each slot is filled the first time
+    /// its gate is met in a cone, so analysis-only callers never pay for
+    /// it. A non-seed gate's delay is by contract the same before and
+    /// after the move, so filling its slot needs no undo entry.
+    ///
     /// Incremental: the owned [`ConeScratch`] collects only cone nodes
     /// (epoch-stamped visited marks, sorted by topological rank), so cost
-    /// scales with the cone, not the circuit. The output fold is skipped
-    /// entirely when no primary output's arrival changed — in that case
-    /// the stat-max over outputs would reproduce the cached value bit for
-    /// bit, since it reads nothing else.
+    /// scales with the cone, not the circuit. Changed arrivals are
+    /// overwritten in place and their old values copied into the flat
+    /// undo log. The output fold is skipped entirely when no primary
+    /// output's arrival changed — in that case the stat-max over outputs
+    /// would reproduce the cached value bit for bit, since it reads
+    /// nothing else.
     pub fn recompute_cone(
         &mut self,
         design: &Design,
@@ -283,33 +375,47 @@ impl Ssta {
     ) -> SstaUndo {
         let circuit = design.circuit();
         circuit.collect_fanout_cone(seeds, &mut self.scratch);
-        let mut undo = SstaUndo {
-            changed: Vec::new(),
-            old_circuit_delay: self.circuit_delay.clone(),
-        };
+        if self.delays.is_empty() {
+            self.delays = vec![UNREAD; circuit.num_nodes()];
+        }
+        let mut undo = SstaUndo::with_capacity(self.scratch.cone().len(), seeds.len());
+        for &s in seeds {
+            if circuit.kind(s).is_gate() {
+                let fresh = delay_sensitivities(design, s);
+                let old = std::mem::replace(&mut self.delays[s.index()], fresh);
+                undo.delays.push((s.0, old));
+            }
+        }
         let mut output_changed = false;
         for &id in self.scratch.cone() {
             if !circuit.kind(id).is_gate() {
                 continue;
             }
+            let slot = &mut self.delays[id.index()];
+            if slot.0.is_nan() {
+                *slot = delay_sensitivities(design, id);
+            }
+            let sens = *slot;
             Self::gate_arrival_into(
-                design,
+                circuit,
                 fm,
                 &self.arrival,
                 id,
+                sens,
                 &mut self.work,
                 &mut self.delay_work,
             );
-            if self.work != self.arrival[id.index()] {
+            let arrival = &mut self.arrival[id.index()];
+            if self.work != *arrival {
                 output_changed |= circuit.is_output(id);
-                undo.changed.push((
-                    id.0,
-                    std::mem::replace(&mut self.arrival[id.index()], self.work.clone()),
-                ));
+                undo.nodes.push(id.0);
+                undo.save(arrival);
+                arrival.clone_from_canonical(&self.work);
             }
         }
         if output_changed {
-            self.circuit_delay = Self::max_output_arrival(circuit, &self.arrival, fm.num_shared());
+            undo.save(&self.circuit_delay);
+            Self::max_output_arrival_into(circuit, &self.arrival, &mut self.circuit_delay);
         }
         // The per-move hot path stays metric-free unless tracing is on:
         // cone stats are diagnostics, not service counters.
@@ -323,12 +429,18 @@ impl Ssta {
         undo
     }
 
-    /// Rolls back a [`Ssta::recompute_cone`] update.
+    /// Rolls back a [`Ssta::recompute_cone`] update: arrivals, circuit
+    /// delay and the seeds' cached delays.
     pub fn undo(&mut self, undo: SstaUndo) {
-        for (raw, old) in undo.changed.into_iter().rev() {
-            self.arrival[raw as usize] = old;
+        if undo.moments.len() > undo.nodes.len() {
+            undo.restore(undo.nodes.len(), &mut self.circuit_delay);
         }
-        self.circuit_delay = undo.old_circuit_delay;
+        for (k, &raw) in undo.nodes.iter().enumerate().rev() {
+            undo.restore(k, &mut self.arrival[raw as usize]);
+        }
+        for &(raw, old) in undo.delays.iter().rev() {
+            self.delays[raw as usize] = old;
+        }
     }
 
     /// Samples the yield curve `P(D ≤ t)` at the given clock periods.

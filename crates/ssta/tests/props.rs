@@ -3,7 +3,8 @@
 use proptest::prelude::*;
 use statleak_netlist::generate::{generate, GenSpec};
 use statleak_netlist::placement::Placement;
-use statleak_ssta::{Canonical, Ssta};
+use statleak_netlist::NodeId;
+use statleak_ssta::{Canonical, Ssta, SstaUndo};
 use statleak_tech::{Design, FactorModel, Technology, VariationConfig, VthClass};
 use std::sync::Arc;
 
@@ -171,6 +172,106 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&y));
             prop_assert!(y >= prev - 1e-12);
             prev = y;
+        }
+    }
+}
+
+/// What to write back into the design when a move is undone.
+enum Revert {
+    Vth(NodeId, VthClass),
+    Size(NodeId, f64),
+}
+
+impl Revert {
+    fn apply(self, design: &mut Design) {
+        match self {
+            Revert::Vth(g, v) => design.set_vth(g, v),
+            Revert::Size(g, w) => design.set_size(g, w),
+        }
+    }
+}
+
+/// Applies move `action` (0/1: Vth to High/Low, 2/3: one size step
+/// up/down) to gate `g`; returns how to revert it and the seed set the
+/// optimizers pass for it.
+fn apply_move(design: &mut Design, g: NodeId, action: usize) -> (Revert, Vec<NodeId>) {
+    let mut seeds = vec![g];
+    let revert = if action < 2 {
+        let revert = Revert::Vth(g, design.vth(g));
+        design.set_vth(
+            g,
+            if action == 0 {
+                VthClass::High
+            } else {
+                VthClass::Low
+            },
+        );
+        revert
+    } else {
+        let revert = Revert::Size(g, design.size(g));
+        let step = if action == 2 {
+            design.size_up(design.size(g))
+        } else {
+            design.size_down(design.size(g))
+        };
+        if let Some(w) = step {
+            design.set_size(g, w);
+        }
+        let circuit = design.circuit();
+        seeds.extend(
+            circuit
+                .fanin(g)
+                .iter()
+                .copied()
+                .filter(|&f| circuit.kind(f).is_gate()),
+        );
+        revert
+    };
+    (revert, seeds)
+}
+
+// Cached gate delays: after every step of a random move sequence — moves,
+// LIFO undos of nested moves, and commits that drop the pending undo logs
+// — the incremental state must equal a fresh analysis exactly.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn cached_delays_track_full_analysis_through_undo_and_commit(
+        seed in 0u64..500,
+        steps in prop::collection::vec((0usize..30, 0usize..6), 1..16),
+    ) {
+        let mut spec = GenSpec::new(format!("ssta_cache{seed}"), 6, 3, 30, 6);
+        spec.seed = seed;
+        let circuit = Arc::new(generate(&spec));
+        let placement = Placement::by_level(&circuit);
+        let tech = Technology::ptm100();
+        let fm = FactorModel::build(&circuit, &placement, &tech, &VariationConfig::ptm100())
+            .expect("factors");
+        let mut design = Design::new(circuit, tech);
+        let mut ssta = Ssta::analyze(&design, &fm);
+        let gates: Vec<_> = design.circuit().gates().collect();
+        let mut pending: Vec<(SstaUndo, Revert)> = Vec::new();
+
+        for (step, (gi, action)) in steps.into_iter().enumerate() {
+            match action {
+                4 => {
+                    if let Some((undo, revert)) = pending.pop() {
+                        ssta.undo(undo);
+                        revert.apply(&mut design);
+                    }
+                }
+                5 => pending.clear(),
+                _ => {
+                    let (revert, seeds) = apply_move(&mut design, gates[gi % gates.len()], action);
+                    pending.push((ssta.recompute_cone(&design, &fm, &seeds), revert));
+                }
+            }
+            let full = Ssta::analyze(&design, &fm);
+            prop_assert!(ssta == full, "step {step} (action {action}) diverged from full analysis");
+            let (a, b) = (ssta.circuit_delay(), full.circuit_delay());
+            prop_assert_eq!(a.mean.to_bits(), b.mean.to_bits());
+            prop_assert_eq!(a.variance.to_bits(), b.variance.to_bits());
         }
     }
 }

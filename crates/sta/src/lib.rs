@@ -44,12 +44,17 @@ const PAR_LEVEL_MIN_GATES: usize = 256;
 ///
 /// Owns a reusable [`ConeScratch`] so incremental cone updates neither
 /// allocate a full-circuit visited array nor scan the whole topological
-/// order. Equality compares only the timing state (arrivals and circuit
-/// delay); the scratch is incidental.
+/// order, and a per-gate nominal-delay cache that
+/// [`Sta::recompute_cone`] allocates on first use. Equality compares only
+/// the timing state (arrivals and circuit delay); cache and scratch are
+/// incidental.
 #[derive(Debug, Clone)]
 pub struct Sta {
     arrival: Vec<f64>,
     circuit_delay: f64,
+    /// Nominal delay per node as of the last synchronized design; empty
+    /// until the first cone update, NaN where not yet read.
+    delays: Vec<f64>,
     scratch: ConeScratch,
 }
 
@@ -64,6 +69,8 @@ impl PartialEq for Sta {
 #[derive(Debug, Clone)]
 pub struct StaUndo {
     changed: Vec<(u32, f64)>,
+    /// Seed delay-cache slots as they were before the update.
+    delays: Vec<(u32, f64)>,
     old_circuit_delay: f64,
 }
 
@@ -86,7 +93,9 @@ impl Sta {
             if threads > 1 && ids.len() >= PAR_LEVEL_MIN_GATES {
                 let computed: Vec<f64> = ids
                     .into_par_iter()
-                    .map(|&id| Self::gate_arrival(design, &arrival, id))
+                    .map(|&id| {
+                        Self::gate_arrival(design, &arrival, id, design.gate_delay_nominal(id))
+                    })
                     .collect();
                 for (&id, a) in ids.iter().zip(computed) {
                     arrival[id.index()] = a;
@@ -94,7 +103,8 @@ impl Sta {
             } else {
                 for &id in ids {
                     debug_assert!(circuit.kind(id).is_gate(), "levels >= 1 hold only gates");
-                    arrival[id.index()] = Self::gate_arrival(design, &arrival, id);
+                    let d = design.gate_delay_nominal(id);
+                    arrival[id.index()] = Self::gate_arrival(design, &arrival, id, d);
                 }
             }
         }
@@ -102,18 +112,20 @@ impl Sta {
         Self {
             arrival,
             circuit_delay,
+            delays: Vec::new(),
             scratch: ConeScratch::new(),
         }
     }
 
-    fn gate_arrival(design: &Design, arrival: &[f64], id: NodeId) -> f64 {
+    /// A gate's arrival: the latest fanin arrival plus its delay `d`.
+    fn gate_arrival(design: &Design, arrival: &[f64], id: NodeId, d: f64) -> f64 {
         let node = design.circuit().node(id);
         let worst_fanin = node
             .fanin
             .iter()
             .map(|f| arrival[f.index()])
             .fold(0.0, f64::max);
-        worst_fanin + design.gate_delay_nominal(id)
+        worst_fanin + d
     }
 
     fn max_output_arrival(circuit: &Circuit, arrival: &[f64]) -> f64 {
@@ -141,21 +153,41 @@ impl Sta {
     /// an undo log that restores the previous state.
     ///
     /// `seeds` must include every node whose *own delay* may have changed:
-    /// for a Vth swap on `g` that is `{g}`; for a resize of `g` it is `{g}`
-    /// plus `g`'s fanin drivers (their load changed).
+    /// for a Vth swap on `g` that is `{g}` (plus `g`'s fanin drivers if the
+    /// library's pin capacitance differs between the two flavors); for a
+    /// resize of `g` it is `{g}` plus `g`'s fanin drivers (their load
+    /// changed). The contract is load-bearing: gate delays are cached, and
+    /// only the seeds' entries are re-read from the design. The cache is
+    /// allocated on the first call and each slot is filled the first time
+    /// its gate is met in a cone.
     pub fn recompute_cone(&mut self, design: &Design, seeds: &[NodeId]) -> StaUndo {
         let circuit = design.circuit();
         circuit.collect_fanout_cone(seeds, &mut self.scratch);
+        if self.delays.is_empty() {
+            self.delays = vec![f64::NAN; circuit.num_nodes()];
+        }
         let mut undo = StaUndo {
             changed: Vec::new(),
+            delays: Vec::with_capacity(seeds.len()),
             old_circuit_delay: self.circuit_delay,
         };
+        for &s in seeds {
+            if circuit.node(s).kind.is_gate() {
+                let fresh = design.gate_delay_nominal(s);
+                let old = std::mem::replace(&mut self.delays[s.index()], fresh);
+                undo.delays.push((s.0, old));
+            }
+        }
         let mut output_changed = false;
         for &id in self.scratch.cone() {
             if !circuit.node(id).kind.is_gate() {
                 continue;
             }
-            let new = Self::gate_arrival(design, &self.arrival, id);
+            let slot = &mut self.delays[id.index()];
+            if slot.is_nan() {
+                *slot = design.gate_delay_nominal(id);
+            }
+            let new = Self::gate_arrival(design, &self.arrival, id, *slot);
             let old = self.arrival[id.index()];
             if new != old {
                 output_changed |= circuit.is_output(id);
@@ -175,10 +207,14 @@ impl Sta {
         undo
     }
 
-    /// Rolls back a [`Sta::recompute_cone`] update.
+    /// Rolls back a [`Sta::recompute_cone`] update: arrivals, circuit
+    /// delay and the seeds' cached delays.
     pub fn undo(&mut self, undo: StaUndo) {
         for (raw, old) in undo.changed.into_iter().rev() {
             self.arrival[raw as usize] = old;
+        }
+        for (raw, old) in undo.delays.into_iter().rev() {
+            self.delays[raw as usize] = old;
         }
         self.circuit_delay = undo.old_circuit_delay;
     }

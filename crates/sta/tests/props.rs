@@ -2,7 +2,8 @@
 
 use proptest::prelude::*;
 use statleak_netlist::generate::{generate, GenSpec};
-use statleak_sta::{SlewSta, Sta};
+use statleak_netlist::NodeId;
+use statleak_sta::{SlewSta, Sta, StaUndo};
 use statleak_tech::{Design, Technology, VthClass};
 use std::sync::Arc;
 
@@ -111,5 +112,96 @@ proptest! {
             .map(|&u| d.gate_delay_nominal(u))
             .sum();
         prop_assert!((sum - sta.circuit_delay()).abs() < 1e-9);
+    }
+}
+
+/// What to write back into the design when a move is undone.
+enum Revert {
+    Vth(NodeId, VthClass),
+    Size(NodeId, f64),
+}
+
+impl Revert {
+    fn apply(self, design: &mut Design) {
+        match self {
+            Revert::Vth(g, v) => design.set_vth(g, v),
+            Revert::Size(g, w) => design.set_size(g, w),
+        }
+    }
+}
+
+/// Applies move `action` (0/1: Vth to High/Low, 2/3: one size step
+/// up/down) to gate `g`; returns how to revert it and the seed set the
+/// optimizers pass for it.
+fn apply_move(design: &mut Design, g: NodeId, action: usize) -> (Revert, Vec<NodeId>) {
+    let mut seeds = vec![g];
+    let revert = if action < 2 {
+        let revert = Revert::Vth(g, design.vth(g));
+        design.set_vth(
+            g,
+            if action == 0 {
+                VthClass::High
+            } else {
+                VthClass::Low
+            },
+        );
+        revert
+    } else {
+        let revert = Revert::Size(g, design.size(g));
+        let step = if action == 2 {
+            design.size_up(design.size(g))
+        } else {
+            design.size_down(design.size(g))
+        };
+        if let Some(w) = step {
+            design.set_size(g, w);
+        }
+        let circuit = design.circuit();
+        seeds.extend(
+            circuit
+                .fanin(g)
+                .iter()
+                .copied()
+                .filter(|&f| circuit.kind(f).is_gate()),
+        );
+        revert
+    };
+    (revert, seeds)
+}
+
+// Cached gate delays: after every step of a random move sequence — moves,
+// LIFO undos of nested moves, and commits that drop the pending undo logs
+// — the incremental state must equal a fresh analysis exactly.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn cached_delays_track_full_analysis_through_undo_and_commit(
+        seed in 0u64..500,
+        steps in prop::collection::vec((0usize..40, 0usize..6), 1..16),
+    ) {
+        let mut d = random_design(seed, 40, 7);
+        let mut sta = Sta::analyze(&d);
+        let gates: Vec<_> = d.circuit().gates().collect();
+        let mut pending: Vec<(StaUndo, Revert)> = Vec::new();
+
+        for (step, (gi, action)) in steps.into_iter().enumerate() {
+            match action {
+                4 => {
+                    if let Some((undo, revert)) = pending.pop() {
+                        sta.undo(undo);
+                        revert.apply(&mut d);
+                    }
+                }
+                5 => pending.clear(),
+                _ => {
+                    let (revert, seeds) = apply_move(&mut d, gates[gi % gates.len()], action);
+                    pending.push((sta.recompute_cone(&d, &seeds), revert));
+                }
+            }
+            let full = Sta::analyze(&d);
+            prop_assert!(sta == full, "step {step} (action {action}) diverged from full analysis");
+            prop_assert_eq!(sta.circuit_delay().to_bits(), full.circuit_delay().to_bits());
+        }
     }
 }

@@ -111,6 +111,31 @@ impl SparseVec {
             .map(|(&k, &v)| (k as usize, v))
     }
 
+    /// The stored indices, strictly ascending.
+    #[inline]
+    pub fn indices(&self) -> &[u32] {
+        &self.idx
+    }
+
+    /// The stored values, parallel to [`SparseVec::indices`].
+    #[inline]
+    pub fn values(&self) -> &[f64] {
+        &self.val
+    }
+
+    /// Replaces the stored entries with `(idx, val)`, keeping the
+    /// dimension and reusing allocations. Indices must be strictly
+    /// ascending and below the dimension.
+    pub fn assign_parts(&mut self, idx: &[u32], val: &[f64]) {
+        debug_assert_eq!(idx.len(), val.len());
+        debug_assert!(idx.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(idx.last().is_none_or(|&k| k < self.dim));
+        self.idx.clear();
+        self.idx.extend_from_slice(idx);
+        self.val.clear();
+        self.val.extend_from_slice(val);
+    }
+
     /// Drops all stored entries (the vector becomes all-zero); the
     /// dimension and the allocations are kept.
     pub fn clear(&mut self) {
@@ -458,5 +483,15 @@ mod tests {
         assert_eq!(s.dim(), 2);
         assert_eq!(s.nnz(), 0);
         assert_eq!(s, SparseVec::zeros(2));
+    }
+
+    #[test]
+    fn parts_round_trip_through_assign_parts() {
+        let src = SparseVec::from_dense(&[0.0, 1.5, 0.0, -2.0, 0.25]);
+        let mut dst = SparseVec::from_dense(&[9.0, 9.0, 9.0, 9.0, 9.0]);
+        dst.assign_parts(src.indices(), src.values());
+        assert_eq!(dst, src);
+        assert_eq!(dst.indices(), &[1, 3, 4]);
+        assert_eq!(dst.dim(), 5);
     }
 }
