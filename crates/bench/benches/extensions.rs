@@ -90,7 +90,7 @@ fn bench_liberty(c: &mut Criterion) {
     });
     let text = liberty::export(&tech, "lib");
     group.bench_function("parse", |b| {
-        b.iter(|| std::hint::black_box(liberty::parse(&text).expect("round trip")))
+        b.iter(|| std::hint::black_box(liberty::parse_library(&text).expect("round trip")))
     });
     group.finish();
 }

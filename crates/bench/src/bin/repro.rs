@@ -33,7 +33,7 @@
 
 use statleak_bench::checkpoint::{CellResult, Checkpoint};
 use statleak_bench::{full_suite, quick_suite};
-use statleak_core::flows::{FlowConfig, FlowError, LibrarySpec, SweepSpec};
+use statleak_core::flows::{DistKind, FlowConfig, FlowError, LibrarySpec, SweepSpec};
 use statleak_core::report::{fmt_pct, fmt_power, Table};
 use statleak_engine::Engine;
 use statleak_netlist::benchmarks;
@@ -503,8 +503,8 @@ fn f1(ctx: &mut Ctx) {
         let cfg = FlowConfig::builder("c880").mc_samples(samples).build()?;
         let d = Engine::global().session(&cfg)?.distribution()?;
         let bins = 30;
-        let hb = d.baseline_histogram(bins);
-        let ho = d.optimized_histogram(bins);
+        let hb = d.histogram(DistKind::Baseline, bins);
+        let ho = d.histogram(DistKind::Optimized, bins);
         println!("baseline (analytic {}):", d.baseline_analytic);
         print!("{}", hb.to_ascii(40));
         println!("optimized (analytic {}):", d.optimized_analytic);

@@ -302,22 +302,6 @@ impl FlowConfig {
             library: self.library.clone(),
         }
     }
-
-    /// The default experiment configuration for a benchmark (see
-    /// [`FlowConfig::builder`] for the values).
-    #[deprecated(note = "use FlowConfig::builder()")]
-    pub fn new(benchmark: impl Into<String>) -> Self {
-        Self::builder(benchmark).unvalidated()
-    }
-
-    /// A fast configuration for tests and doc examples (few MC samples).
-    #[deprecated(note = "use FlowConfig::builder().mc_samples(200)")]
-    pub fn quick(benchmark: impl Into<String>) -> Self {
-        Self {
-            mc_samples: 200,
-            ..Self::builder(benchmark).unvalidated()
-        }
-    }
 }
 
 /// Fluent, validating builder for [`FlowConfig`].
@@ -463,13 +447,7 @@ impl FlowConfigBuilder {
                 message: format!("must be in 1..=64, got {}", self.variation.grid),
             });
         }
-        Ok(self.unvalidated())
-    }
-
-    /// Assembles the config without validation (crate-internal: used by the
-    /// known-good default constructors).
-    fn unvalidated(self) -> FlowConfig {
-        FlowConfig {
+        Ok(FlowConfig {
             benchmark: self.benchmark,
             slack_factor: self.slack_factor,
             eta: self.eta,
@@ -479,7 +457,7 @@ impl FlowConfigBuilder {
             mc_seed: self.mc_seed,
             wire_loads: self.wire_loads,
             library: self.library,
-        }
+        })
     }
 }
 
@@ -498,6 +476,18 @@ pub struct Setup {
     pub t_clk: f64,
 }
 
+/// Resolves a benchmark name to its circuit: the combinational suite
+/// first, then the sequential (FF-cut) suite.
+///
+/// # Errors
+///
+/// Returns [`FlowError::UnknownBenchmark`] when neither suite has `name`.
+pub fn benchmark_circuit(name: &str) -> Result<Circuit, FlowError> {
+    benchmarks::by_name(name)
+        .or_else(|| benchmarks::sequential_by_name(name).map(|(c, _)| c))
+        .ok_or_else(|| FlowError::UnknownBenchmark(name.to_string()))
+}
+
 /// Builds the experiment state for a configuration.
 ///
 /// # Errors
@@ -506,11 +496,7 @@ pub struct Setup {
 /// [`FlowError::Library`] when a configured `.lib` file fails to load.
 pub fn prepare(cfg: &FlowConfig) -> Result<Setup, FlowError> {
     let _span = obs::span!("flow.prepare");
-    // Combinational suite first, then the sequential (FF-cut) suite.
-    let circuit = benchmarks::by_name(&cfg.benchmark)
-        .or_else(|| benchmarks::sequential_by_name(&cfg.benchmark).map(|(c, _)| c))
-        .ok_or_else(|| FlowError::UnknownBenchmark(cfg.benchmark.clone()))?;
-    let circuit = Arc::new(circuit);
+    let circuit = Arc::new(benchmark_circuit(&cfg.benchmark)?);
     let placement = Placement::by_level(&circuit);
     let tech = Technology::ptm100();
     let fm = FactorModel::build(&circuit, &placement, &tech, &cfg.variation)?;
@@ -685,9 +671,6 @@ pub struct ComparisonOutcome {
 /// Runs the headline comparison on an already-prepared [`Setup`]: baseline
 /// vs deterministic vs statistical at equal timing yield `η`.
 ///
-/// This is the single implementation shared by the deprecated one-shot
-/// [`run_comparison`] and the cached `statleak-engine` sessions.
-///
 /// # Errors
 ///
 /// Returns [`FlowError`] on infeasible sizing.
@@ -757,18 +740,6 @@ pub fn run_comparison_on(setup: &Setup, cfg: &FlowConfig) -> Result<ComparisonOu
     })
 }
 
-/// One-shot form of [`run_comparison_on`]: re-runs [`prepare`] every call.
-///
-/// # Errors
-///
-/// Returns [`FlowError`] on unknown benchmarks or infeasible sizing.
-#[deprecated(
-    note = "route repeated requests through `statleak_engine::Engine`, which caches prepare()"
-)]
-pub fn run_comparison(cfg: &FlowConfig) -> Result<ComparisonOutcome, FlowError> {
-    run_comparison_on(&prepare(cfg)?, cfg)
-}
-
 /// One point of a delay-target sweep (table T3 / figure F2).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
@@ -788,11 +759,8 @@ pub struct SweepPoint {
     pub extra_saving: f64,
 }
 
-/// The axis of a parameter sweep.
-///
-/// [`sweep_delay_target`] and [`sweep_sigma`] historically took the same
-/// `&[f64]` with different meanings; `SweepSpec` names the axis so one
-/// [`sweep`] entry point (and one `Session::sweep` method) covers both.
+/// The axis of a parameter sweep. One [`sweep_on`] entry point (and one
+/// `Session::sweep` method) covers every axis.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum SweepSpec {
@@ -871,39 +839,6 @@ pub fn sweep_on(
     Ok(out)
 }
 
-/// One-shot form of [`sweep_on`]: prepares the setup, then sweeps.
-///
-/// # Errors
-///
-/// Propagates [`FlowError`]; individual infeasible points are skipped.
-pub fn sweep(cfg: &FlowConfig, spec: &SweepSpec) -> Result<Vec<SweepPoint>, FlowError> {
-    sweep_on(&prepare(cfg)?, cfg, spec)
-}
-
-/// Sweeps the clock target tightness (T3 / F2): for each slack factor,
-/// runs both flows at yield `η` and reports p95 leakage.
-///
-/// # Errors
-///
-/// Propagates [`FlowError`]; individual infeasible points are skipped.
-#[deprecated(note = "use `sweep(cfg, &SweepSpec::SlackFactor(..))` or `Session::sweep`")]
-pub fn sweep_delay_target(
-    cfg: &FlowConfig,
-    slack_factors: &[f64],
-) -> Result<Vec<SweepPoint>, FlowError> {
-    sweep(cfg, &SweepSpec::SlackFactor(slack_factors.to_vec()))
-}
-
-/// Sweeps the channel-length variation magnitude (F4).
-///
-/// # Errors
-///
-/// Propagates [`FlowError`]; individual infeasible points are skipped.
-#[deprecated(note = "use `sweep(cfg, &SweepSpec::SigmaL(..))` or `Session::sweep`")]
-pub fn sweep_sigma(cfg: &FlowConfig, sigmas: &[f64]) -> Result<Vec<SweepPoint>, FlowError> {
-    sweep(cfg, &SweepSpec::SigmaL(sigmas.to_vec()))
-}
-
 /// Yield-vs-clock curves for the three designs (figure F3) on an
 /// already-prepared [`Setup`]. Returns
 /// `(t_over_dmin, baseline, deterministic, statistical)` rows.
@@ -935,19 +870,6 @@ pub fn yield_curves_on(
             )
         })
         .collect())
-}
-
-/// One-shot form of [`yield_curves_on`].
-///
-/// # Errors
-///
-/// Propagates [`FlowError`].
-#[deprecated(note = "use `Session::yield_curves` on a cached engine session")]
-pub fn yield_curves(
-    cfg: &FlowConfig,
-    t_grid: &[f64],
-) -> Result<Vec<(f64, f64, f64, f64)>, FlowError> {
-    yield_curves_on(&prepare(cfg)?, cfg, t_grid)
 }
 
 /// Analytical-vs-Monte-Carlo validation of SSTA and the leakage lognormal
@@ -1028,16 +950,6 @@ pub fn mc_validation_on(setup: &Setup, cfg: &FlowConfig) -> Result<McValidation,
     })
 }
 
-/// One-shot form of [`mc_validation_on`].
-///
-/// # Errors
-///
-/// Propagates [`FlowError`].
-#[deprecated(note = "use `Session::mc_validation` on a cached engine session")]
-pub fn mc_validation(cfg: &FlowConfig) -> Result<McValidation, FlowError> {
-    mc_validation_on(&prepare(cfg)?, cfg)
-}
-
 /// Leakage-distribution data for figure F1: the baseline and the
 /// statistically optimized design, each with an MC histogram and the
 /// analytical lognormal parameters.
@@ -1072,21 +984,9 @@ impl DistributionData {
         }
     }
 
-    /// Histogram of one side's samples — the single implementation behind
-    /// [`DistributionData::baseline_histogram`] and
-    /// [`DistributionData::optimized_histogram`].
+    /// Histogram of one side's samples.
     pub fn histogram(&self, which: DistKind, bins: usize) -> Histogram {
         Histogram::from_samples(self.samples(which), bins)
-    }
-
-    /// Histogram of the baseline samples.
-    pub fn baseline_histogram(&self, bins: usize) -> Histogram {
-        self.histogram(DistKind::Baseline, bins)
-    }
-
-    /// Histogram of the optimized samples.
-    pub fn optimized_histogram(&self, bins: usize) -> Histogram {
-        self.histogram(DistKind::Optimized, bins)
     }
 }
 
@@ -1120,16 +1020,6 @@ pub fn distribution_on(setup: &Setup, cfg: &FlowConfig) -> Result<DistributionDa
         optimized_analytic: LeakageAnalysis::analyze(&stat.design, &setup.fm)
             .total_power(&stat.design),
     })
-}
-
-/// One-shot form of [`distribution_on`].
-///
-/// # Errors
-///
-/// Propagates [`FlowError`].
-#[deprecated(note = "use `Session::distribution` on a cached engine session")]
-pub fn distribution(cfg: &FlowConfig) -> Result<DistributionData, FlowError> {
-    distribution_on(&prepare(cfg)?, cfg)
 }
 
 /// One ablation row (experiment A1).
@@ -1203,16 +1093,6 @@ pub fn ablation_on(setup: &Setup, cfg: &FlowConfig) -> Result<Vec<AblationRow>, 
     Ok(rows)
 }
 
-/// One-shot form of [`ablation_on`].
-///
-/// # Errors
-///
-/// Propagates [`FlowError`].
-#[deprecated(note = "use `Session::ablation` on a cached engine session")]
-pub fn ablation(cfg: &FlowConfig) -> Result<Vec<AblationRow>, FlowError> {
-    ablation_on(&prepare(cfg)?, cfg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1228,6 +1108,13 @@ mod tests {
     fn prepare_rejects_unknown() {
         let cfg = cfg_no_mc("c9999");
         assert!(matches!(prepare(&cfg), Err(FlowError::UnknownBenchmark(_))));
+    }
+
+    #[test]
+    fn benchmark_circuit_falls_back_to_the_sequential_suite() {
+        assert_eq!(benchmark_circuit("c17").unwrap().name(), "c17");
+        assert!(benchmarks::by_name("s27").is_none());
+        assert!(benchmark_circuit("s27").is_ok());
     }
 
     #[test]
@@ -1258,15 +1145,6 @@ mod tests {
             ),
             "{e:?}"
         );
-        // The deprecated constructors forward to the same defaults.
-        #[allow(deprecated)]
-        let old = FlowConfig::new("c432");
-        let new = FlowConfig::builder("c432").build().unwrap();
-        assert_eq!(old, new);
-        #[allow(deprecated)]
-        let old_quick = FlowConfig::quick("c432");
-        let new_quick = FlowConfig::builder("c432").mc_samples(200).build().unwrap();
-        assert_eq!(old_quick, new_quick);
     }
 
     #[test]
@@ -1301,16 +1179,12 @@ mod tests {
     #[test]
     fn sweep_reports_monotone_pressure() {
         let cfg = cfg_no_mc("c432");
-        let pts = sweep(&cfg, &SweepSpec::SlackFactor(vec![1.10, 1.30])).unwrap();
+        let setup = prepare(&cfg).unwrap();
+        let pts = sweep_on(&setup, &cfg, &SweepSpec::SlackFactor(vec![1.10, 1.30])).unwrap();
         assert_eq!(pts.len(), 2);
         // Looser clock → lower leakage for both flows.
         assert!(pts[1].det_p95 <= pts[0].det_p95 * 1.01);
         assert!(pts[1].stat_p95 <= pts[0].stat_p95 * 1.01);
-        // The deprecated per-axis entry points are thin wrappers over the
-        // same implementation.
-        #[allow(deprecated)]
-        let legacy = sweep_delay_target(&cfg, &[1.10, 1.30]).unwrap();
-        assert_eq!(legacy, pts);
     }
 
     #[test]
@@ -1368,14 +1242,7 @@ mod tests {
         // Optimization shifts the distribution left.
         let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
         assert!(mean(&d.optimized_samples) < mean(&d.baseline_samples));
-        // The per-side wrappers agree with the unified accessor.
-        let h = d.histogram(DistKind::Baseline, 16);
-        let hb = d.baseline_histogram(16);
-        assert_eq!(h.counts(), hb.counts());
-        assert_eq!(
-            d.optimized_histogram(16).counts(),
-            d.histogram(DistKind::Optimized, 16).counts()
-        );
+        assert_eq!(d.histogram(DistKind::Optimized, 16).total(), 200);
     }
 
     /// A `DistributionData` with hand-picked samples, bypassing the MC run,

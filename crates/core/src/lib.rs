@@ -4,18 +4,19 @@
 //! reports:
 //!
 //! * [`flows::prepare`] — benchmark → placement → factor model → minimum
-//!   delay → clock target;
-//! * [`flows::run_comparison`] — the headline three-way comparison at
+//!   delay → clock target, producing the [`flows::Setup`] every flow below
+//!   runs on;
+//! * [`flows::run_comparison_on`] — the headline three-way comparison at
 //!   equal timing yield: unoptimized baseline vs the guard-banded
 //!   deterministic flow vs the statistical flow (table T2);
-//! * [`flows::sweep_delay_target`], [`flows::sweep_sigma`] — parameter
-//!   sweeps (table T3, figures F2/F4);
-//! * [`flows::yield_curves`] — yield-vs-clock curves (figure F3);
-//! * [`flows::mc_validation`] — analytical-vs-Monte-Carlo accuracy
+//! * [`flows::sweep_on`] — parameter sweeps over a [`SweepSpec`] axis
+//!   (table T3, figures F2/F4);
+//! * [`flows::yield_curves_on`] — yield-vs-clock curves (figure F3);
+//! * [`flows::mc_validation_on`] — analytical-vs-Monte-Carlo accuracy
 //!   (table T4);
-//! * [`flows::distribution`] — leakage histograms before/after
+//! * [`flows::distribution_on`] — leakage histograms before/after
 //!   optimization (figure F1);
-//! * [`flows::ablation`] — modeling ablations (experiment A1);
+//! * [`flows::ablation_on`] — modeling ablations (experiment A1);
 //! * [`joint::JointYield`] — joint timing+leakage parametric yield
 //!   (experiment T5), an extension beyond the paper's single-constraint
 //!   formulation;
@@ -37,8 +38,7 @@
 //!
 //! Long-lived processes that issue many requests should go through
 //! `statleak-engine`, whose `Engine` caches prepared setups (and memoizes
-//! flow results) behind a content-hash key; the free functions here re-run
-//! [`flows::prepare`] on every call.
+//! flow results) behind a content-hash key.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

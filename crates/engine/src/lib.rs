@@ -1,8 +1,9 @@
 //! statleak-engine — the service layer over the statleak flows.
 //!
-//! The core crates (`statleak-core` and below) are one-shot: every flow
-//! call re-reads the netlist, rebuilds the timing graph, refactors the
-//! correlation model, and re-runs the optimizer. That is the right shape
+//! The core crates (`statleak-core` and below) are stateless: every
+//! `flows::prepare` call re-reads the netlist, rebuilds the timing graph,
+//! and refactors the correlation model, and every flow re-runs the
+//! optimizer. That is the right shape
 //! for a CLI invocation and the wrong shape for anything long-lived — a
 //! parameter sweep driver, a notebook, or a daemon answering requests.
 //!

@@ -17,7 +17,7 @@ use statleak_core::flows::{
     self, AblationRow, ComparisonOutcome, DesignMetrics, DistributionData, FlowConfig, FlowError,
     LibrarySpec, McValidation, Setup, SweepPoint, SweepSpec,
 };
-use statleak_netlist::{bench, benchmarks};
+use statleak_netlist::bench;
 use statleak_obs as obs;
 use statleak_tech::{Design, Technology};
 use std::collections::HashMap;
@@ -410,11 +410,7 @@ impl Engine {
 /// to no built-in circuit, or [`FlowError::Library`] if a configured
 /// `.lib` file cannot be loaded.
 pub fn session_key(cfg: &FlowConfig) -> Result<u64, FlowError> {
-    // Resolve exactly like `flows::prepare`: combinational suite first,
-    // then the sequential (FF-cut) suite.
-    let circuit = benchmarks::by_name(&cfg.benchmark)
-        .or_else(|| benchmarks::sequential_by_name(&cfg.benchmark).map(|(c, _)| c))
-        .ok_or_else(|| FlowError::UnknownBenchmark(cfg.benchmark.clone()))?;
+    let circuit = flows::benchmark_circuit(&cfg.benchmark)?;
     let mut h = ContentHasher::new();
     // Netlist content, not just the name.
     h.str(&bench::write(&circuit));

@@ -19,15 +19,10 @@
 //! fast die are leaky die — the correlation the statistical optimizer must
 //! respect and the deterministic one ignores.
 //!
-//! # Deprecation note
-//!
-//! The free functions taking `&Technology` are **deprecated**: evaluation
-//! now goes through the [`crate::CellLibrary`] trait, resolved once per
-//! flow ([`crate::BuiltinLibrary`] wraps exactly these closed forms;
+//! The closed forms are crate-private: evaluation goes through the
+//! [`crate::CellLibrary`] trait, resolved once per flow
+//! ([`crate::BuiltinLibrary`] wraps exactly these closed forms;
 //! [`crate::LibertyLibrary`] substitutes characterized `.lib` values).
-//! The forwarders below delegate verbatim to the crate-private
-//! implementations, so existing callers keep bit-identical results while
-//! they migrate.
 
 use crate::params::{Technology, VthClass};
 use statleak_netlist::GateKind;
@@ -91,19 +86,28 @@ pub fn leak_state_factor_for_state(kind: GateKind, fanin: usize, state: usize) -
 }
 
 // ---------------------------------------------------------------------------
-// Crate-private implementations: the single source of truth for the closed
-// forms. `BuiltinLibrary`, the deprecated forwarders, and the Liberty
-// characterizer all call these, so every path evaluates the identical
-// floating-point expression.
+// The closed forms. `BuiltinLibrary` and the Liberty characterizer both call
+// these, so every path evaluates the identical floating-point expression.
 // ---------------------------------------------------------------------------
 
+/// Input capacitance presented by one gate pin (fF).
 #[inline]
-pub(crate) fn input_cap_impl(tech: &Technology, size: f64) -> f64 {
+pub(crate) fn input_cap(tech: &Technology, size: f64) -> f64 {
     tech.c_gate * size
 }
 
+/// Full (non-linearized) gate delay under a parameter perturbation (ps).
+///
+/// This is the model the Monte-Carlo engine evaluates; SSTA uses its
+/// first-order expansion ([`delay_sensitivities`]).
+///
+/// # Panics
+///
+/// Panics (debug) if called for [`GateKind::Input`].
+// The argument list mirrors the physical model's parameter vector; bundling
+// it into a struct would just move the same eight names one level down.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn gate_delay_impl(
+pub(crate) fn gate_delay(
     tech: &Technology,
     kind: GateKind,
     fanin: usize,
@@ -121,7 +125,8 @@ pub(crate) fn gate_delay_impl(
         / (size * overdrive.powf(tech.alpha))
 }
 
-pub(crate) fn gate_delay_nominal_impl(
+/// Nominal gate delay (no variation), ps.
+pub(crate) fn gate_delay_nominal(
     tech: &Technology,
     kind: GateKind,
     fanin: usize,
@@ -129,10 +134,14 @@ pub(crate) fn gate_delay_nominal_impl(
     vth_class: VthClass,
     c_load: f64,
 ) -> f64 {
-    gate_delay_impl(tech, kind, fanin, size, vth_class, c_load, 0.0, 0.0)
+    gate_delay(tech, kind, fanin, size, vth_class, c_load, 0.0, 0.0)
 }
 
-pub(crate) fn delay_sensitivities_impl(
+/// First-order delay sensitivities at the nominal point.
+///
+/// Returns `(d_nom, ∂d/∂(ΔL/L), ∂d/∂ΔVth)` where the `ΔL/L` derivative
+/// already folds in the threshold roll-off path `∂d/∂Vth · dVth/dL`.
+pub(crate) fn delay_sensitivities(
     tech: &Technology,
     kind: GateKind,
     fanin: usize,
@@ -140,7 +149,7 @@ pub(crate) fn delay_sensitivities_impl(
     vth_class: VthClass,
     c_load: f64,
 ) -> (f64, f64, f64) {
-    let d = gate_delay_nominal_impl(tech, kind, fanin, size, vth_class, c_load);
+    let d = gate_delay_nominal(tech, kind, fanin, size, vth_class, c_load);
     let overdrive = tech.vdd - tech.vth(vth_class);
     // ∂d/∂Vth = alpha · d / (Vdd − Vth)
     let dd_dvth = tech.alpha * d / overdrive;
@@ -149,7 +158,8 @@ pub(crate) fn delay_sensitivities_impl(
     (d, dd_dl, dd_dvth)
 }
 
-pub(crate) fn leakage_current_impl(
+/// Full (non-linearized) sub-threshold leakage current (A).
+pub(crate) fn leakage_current(
     tech: &Technology,
     kind: GateKind,
     fanin: usize,
@@ -163,136 +173,15 @@ pub(crate) fn leakage_current_impl(
     tech.i0 * size * leak_state_factor(kind, fanin) * (-vth_eff / tech.n_vt()).exp()
 }
 
-pub(crate) fn leakage_nominal_impl(
-    tech: &Technology,
-    kind: GateKind,
-    fanin: usize,
-    size: f64,
-    vth_class: VthClass,
-) -> f64 {
-    leakage_current_impl(tech, kind, fanin, size, vth_class, 0.0, 0.0)
-}
-
-pub(crate) fn ln_leakage_impl(
-    tech: &Technology,
-    kind: GateKind,
-    fanin: usize,
-    size: f64,
-    vth_class: VthClass,
-) -> (f64, f64, f64) {
-    let ln_nom = leakage_nominal_impl(tech, kind, fanin, size, vth_class).ln();
-    let dln_dvth = -1.0 / tech.n_vt();
-    let dln_dl = dln_dvth * tech.vth_l_coeff;
-    (ln_nom, dln_dl, dln_dvth)
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated forwarders (kept so downstream code compiles while migrating
-// to the `CellLibrary` trait).
-// ---------------------------------------------------------------------------
-
-/// Input capacitance presented by one gate pin (fF).
-#[deprecated(note = "use `CellLibrary::input_cap` via `Design::library()` instead")]
-#[inline]
-pub fn input_cap(tech: &Technology, size: f64) -> f64 {
-    input_cap_impl(tech, size)
-}
-
-/// Full (non-linearized) gate delay under a parameter perturbation (ps).
-///
-/// This is the model the Monte-Carlo engine evaluates; SSTA uses its
-/// first-order expansion ([`delay_sensitivities`]).
-///
-/// # Panics
-///
-/// Panics (debug) if called for [`GateKind::Input`].
-// The argument list mirrors the physical model's parameter vector; bundling
-// it into a struct would just move the same eight names one level down.
-#[deprecated(note = "use `CellLibrary::delay` via `Design::library()` instead")]
-#[allow(clippy::too_many_arguments)]
-pub fn gate_delay(
-    tech: &Technology,
-    kind: GateKind,
-    fanin: usize,
-    size: f64,
-    vth_class: VthClass,
-    c_load: f64,
-    delta_l_rel: f64,
-    delta_vth_rand: f64,
-) -> f64 {
-    gate_delay_impl(
-        tech,
-        kind,
-        fanin,
-        size,
-        vth_class,
-        c_load,
-        delta_l_rel,
-        delta_vth_rand,
-    )
-}
-
-/// Nominal gate delay (no variation), ps.
-#[deprecated(note = "use `CellLibrary::delay_nominal` via `Design::library()` instead")]
-pub fn gate_delay_nominal(
-    tech: &Technology,
-    kind: GateKind,
-    fanin: usize,
-    size: f64,
-    vth_class: VthClass,
-    c_load: f64,
-) -> f64 {
-    gate_delay_nominal_impl(tech, kind, fanin, size, vth_class, c_load)
-}
-
-/// First-order delay sensitivities at the nominal point.
-///
-/// Returns `(d_nom, ∂d/∂(ΔL/L), ∂d/∂ΔVth)` where the `ΔL/L` derivative
-/// already folds in the threshold roll-off path `∂d/∂Vth · dVth/dL`.
-#[deprecated(note = "use `CellLibrary::delay_sensitivities` via `Design::library()` instead")]
-pub fn delay_sensitivities(
-    tech: &Technology,
-    kind: GateKind,
-    fanin: usize,
-    size: f64,
-    vth_class: VthClass,
-    c_load: f64,
-) -> (f64, f64, f64) {
-    delay_sensitivities_impl(tech, kind, fanin, size, vth_class, c_load)
-}
-
-/// Full (non-linearized) sub-threshold leakage current (A).
-#[deprecated(note = "use `CellLibrary::leakage` via `Design::library()` instead")]
-pub fn leakage_current(
-    tech: &Technology,
-    kind: GateKind,
-    fanin: usize,
-    size: f64,
-    vth_class: VthClass,
-    delta_l_rel: f64,
-    delta_vth_rand: f64,
-) -> f64 {
-    leakage_current_impl(
-        tech,
-        kind,
-        fanin,
-        size,
-        vth_class,
-        delta_l_rel,
-        delta_vth_rand,
-    )
-}
-
 /// Nominal leakage current (A).
-#[deprecated(note = "use `CellLibrary::leakage_nominal` via `Design::library()` instead")]
-pub fn leakage_nominal(
+pub(crate) fn leakage_nominal(
     tech: &Technology,
     kind: GateKind,
     fanin: usize,
     size: f64,
     vth_class: VthClass,
 ) -> f64 {
-    leakage_nominal_impl(tech, kind, fanin, size, vth_class)
+    leakage_current(tech, kind, fanin, size, vth_class, 0.0, 0.0)
 }
 
 /// ln-space leakage description: `(ln I_nom, ∂lnI/∂(ΔL/L), ∂lnI/∂ΔVth)`.
@@ -301,19 +190,20 @@ pub fn leakage_nominal(
 /// this model, the ln-space expansion is exact, and per-gate leakage is an
 /// exact lognormal — which is what makes Wilkinson summation the right
 /// full-chip aggregation.
-#[deprecated(note = "use `CellLibrary::ln_leakage` via `Design::library()` instead")]
-pub fn ln_leakage(
+pub(crate) fn ln_leakage(
     tech: &Technology,
     kind: GateKind,
     fanin: usize,
     size: f64,
     vth_class: VthClass,
 ) -> (f64, f64, f64) {
-    ln_leakage_impl(tech, kind, fanin, size, vth_class)
+    let ln_nom = leakage_nominal(tech, kind, fanin, size, vth_class).ln();
+    let dln_dvth = -1.0 / tech.n_vt();
+    let dln_dl = dln_dvth * tech.vth_l_coeff;
+    (ln_nom, dln_dl, dln_dvth)
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the forwarders themselves are under test
 mod tests {
     use super::*;
 

@@ -3,8 +3,9 @@
 //! Each cell carries three redundant views of the same model so every
 //! consumer tier can read it:
 //!
-//! * the legacy scalar attributes (`cell_leakage_power`, `intrinsic_rise`,
-//!   `rise_resistance`) consumed by the string-scanning [`super::parse`];
+//! * scalar attributes (`cell_leakage_power`, pin `capacitance`,
+//!   `intrinsic_rise`, `rise_resistance`) with six decimals, the flat
+//!   [`LibertyCell`] view;
 //! * `when`-conditioned `leakage_power` groups — one per input state,
 //!   values written with full (shortest-round-trip) precision so an
 //!   export→import cycle through the typed parser preserves
@@ -20,7 +21,7 @@ use crate::library::CellLibrary;
 use crate::params::{Technology, VthClass};
 use statleak_netlist::GateKind;
 
-/// One exported/imported library cell (flat legacy view).
+/// One characterized library cell (flat scalar view).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LibertyCell {
     /// Cell name, e.g. `NAND2_X2_HVT`.
@@ -146,16 +147,16 @@ pub fn characterize(
 ) -> LibertyCell {
     // Linear delay fit from two load points (the model *is* linear in
     // load, so two points are exact).
-    let d0 = cell::gate_delay_nominal_impl(tech, kind, fanin, size, vth, 0.0);
-    let d10 = cell::gate_delay_nominal_impl(tech, kind, fanin, size, vth, 10.0);
+    let d0 = cell::gate_delay_nominal(tech, kind, fanin, size, vth, 0.0);
+    let d10 = cell::gate_delay_nominal(tech, kind, fanin, size, vth, 10.0);
     LibertyCell {
         name: cell_name(base, fanin, size, vth),
         kind,
         fanin,
         size,
         vth,
-        input_cap: cell::input_cap_impl(tech, size),
-        leakage_nw: cell::leakage_nominal_impl(tech, kind, fanin, size, vth) * tech.vdd * 1e9,
+        input_cap: cell::input_cap(tech, size),
+        leakage_nw: cell::leakage_nominal(tech, kind, fanin, size, vth) * tech.vdd * 1e9,
         intrinsic_ps: d0,
         slope_ps_per_ff: (d10 - d0) / 10.0,
     }
@@ -273,7 +274,6 @@ fn join_nums(xs: &[f64]) -> String {
 mod tests {
     use super::*;
     use crate::liberty::decode::parse_library;
-    use crate::liberty::parse;
 
     #[test]
     fn export_contains_expected_cells() {
@@ -351,9 +351,34 @@ mod tests {
     }
 
     #[test]
-    fn legacy_parser_still_reads_the_export() {
+    fn export_round_trips_scalar_attributes() {
         let tech = Technology::ptm100();
-        let cells = parse(&export(&tech, "lib")).unwrap();
-        assert_eq!(cells.len(), 16 * tech.sizes.len() * 2);
+        let lib = parse_library(&export(&tech, "lib")).unwrap();
+        // 2 single-fanin kinds + 4 kinds × 3 fanins + 2 kinds × 1 fanin
+        // = 16 variants × 9 sizes × 2 vth.
+        assert_eq!(lib.cells.len(), 16 * tech.sizes.len() * 2);
+        let find = |name: &str| lib.cells.iter().find(|c| c.name == name).unwrap();
+        // Pin capacitance is written with six decimals.
+        for (name, kind, base, fanin, size, vth) in [
+            ("INV_X1_LVT", GateKind::Not, "INV", 1, 1.0, VthClass::Low),
+            (
+                "NAND2_X4_HVT",
+                GateKind::Nand,
+                "NAND",
+                2,
+                4.0,
+                VthClass::High,
+            ),
+        ] {
+            let expect = characterize(&tech, kind, base, fanin, size, vth).input_cap;
+            let inputs: Vec<_> = find(name).pins.iter().filter(|p| p.name != "Y").collect();
+            assert_eq!(inputs.len(), fanin, "{name}");
+            for pin in inputs {
+                let cap = pin.capacitance.expect("exported pin capacitance");
+                assert!((cap - expect).abs() < 1e-4, "{name}/{}: {cap}", pin.name);
+            }
+        }
+        let leak = |name: &str| find(name).cell_leakage_power.expect("scalar leakage");
+        assert!(leak("NAND2_X1_LVT") >= 15.0 * leak("NAND2_X1_HVT"));
     }
 }

@@ -235,7 +235,7 @@ impl LibertyLibrary {
                 .iter()
                 .find(|p| p.direction.as_deref() != Some("output") && p.capacitance.is_some())
                 .and_then(|p| p.capacitance)
-                .unwrap_or_else(|| cell::input_cap_impl(&tech, size));
+                .unwrap_or_else(|| cell::input_cap(&tech, size));
             // Leakage: `when`-conditioned groups (power, library units =
             // nW) override the state-averaged scalar.
             let nw_to_amps = 1e-9 / vdd;
@@ -438,7 +438,7 @@ impl CellLibrary for LibertyLibrary {
     fn input_cap(&self, kind: GateKind, fanin: usize, size: f64, vth: VthClass) -> f64 {
         match self.resolve(kind, fanin, size, vth) {
             Some((d, _, _)) => d.input_cap,
-            None => cell::input_cap_impl(&self.tech, size),
+            None => cell::input_cap(&self.tech, size),
         }
     }
 
@@ -468,7 +468,7 @@ impl CellLibrary for LibertyLibrary {
             Some((d, delay_scale, _)) => {
                 d.delay_nominal(self.tech.input_slew, c_load) * delay_scale
             }
-            None => cell::gate_delay_nominal_impl(&self.tech, kind, fanin, size, vth, c_load),
+            None => cell::gate_delay_nominal(&self.tech, kind, fanin, size, vth, c_load),
         }
     }
 
@@ -503,7 +503,7 @@ impl CellLibrary for LibertyLibrary {
     fn leakage_nominal(&self, kind: GateKind, fanin: usize, size: f64, vth: VthClass) -> f64 {
         match self.resolve(kind, fanin, size, vth) {
             Some((d, _, leak_scale)) => d.leak_avg * leak_scale,
-            None => cell::leakage_nominal_impl(&self.tech, kind, fanin, size, vth),
+            None => cell::leakage_nominal(&self.tech, kind, fanin, size, vth),
         }
     }
 
@@ -538,7 +538,7 @@ impl CellLibrary for LibertyLibrary {
                 / cell::leak_state_factor(kind, fanin);
             return d.leak_avg * leak_scale * profile;
         }
-        let avg = cell::leakage_nominal_impl(&self.tech, kind, fanin, size, vth);
+        let avg = cell::leakage_nominal(&self.tech, kind, fanin, size, vth);
         avg * cell::leak_state_factor_for_state(kind, fanin, state)
             / cell::leak_state_factor(kind, fanin)
     }
@@ -623,14 +623,14 @@ mod tests {
             for vth in [VthClass::Low, VthClass::High] {
                 for load in [0.0, 7.0, 23.0] {
                     let got = l.delay_nominal(kind, fanin, 2.0, vth, load);
-                    let want = cell::gate_delay_nominal_impl(&tech, kind, fanin, 2.0, vth, load);
+                    let want = cell::gate_delay_nominal(&tech, kind, fanin, 2.0, vth, load);
                     assert!(
                         (got / want - 1.0).abs() < 1e-9,
                         "{kind:?}/{fanin}/{vth:?}@{load}: {got} vs {want}"
                     );
                 }
                 let got = l.leakage_nominal(kind, fanin, 2.0, vth);
-                let want = cell::leakage_nominal_impl(&tech, kind, fanin, 2.0, vth);
+                let want = cell::leakage_nominal(&tech, kind, fanin, 2.0, vth);
                 assert!((got / want - 1.0).abs() < 1e-9);
             }
         }
@@ -673,21 +673,14 @@ mod tests {
             let ratio_lib = l.delay(GateKind::Nor, 2, 4.0, VthClass::Low, 9.0, dl, dv)
                 / l.delay_nominal(GateKind::Nor, 2, 4.0, VthClass::Low, 9.0);
             let ratio_builtin =
-                cell::gate_delay_impl(&tech, GateKind::Nor, 2, 4.0, VthClass::Low, 9.0, dl, dv)
-                    / cell::gate_delay_nominal_impl(
-                        &tech,
-                        GateKind::Nor,
-                        2,
-                        4.0,
-                        VthClass::Low,
-                        9.0,
-                    );
+                cell::gate_delay(&tech, GateKind::Nor, 2, 4.0, VthClass::Low, 9.0, dl, dv)
+                    / cell::gate_delay_nominal(&tech, GateKind::Nor, 2, 4.0, VthClass::Low, 9.0);
             assert!((ratio_lib / ratio_builtin - 1.0).abs() < 1e-12, "{dl}/{dv}");
             let lr_lib = l.leakage(GateKind::Nor, 2, 4.0, VthClass::Low, dl, dv)
                 / l.leakage_nominal(GateKind::Nor, 2, 4.0, VthClass::Low);
             let lr_builtin =
-                cell::leakage_current_impl(&tech, GateKind::Nor, 2, 4.0, VthClass::Low, dl, dv)
-                    / cell::leakage_nominal_impl(&tech, GateKind::Nor, 2, 4.0, VthClass::Low);
+                cell::leakage_current(&tech, GateKind::Nor, 2, 4.0, VthClass::Low, dl, dv)
+                    / cell::leakage_nominal(&tech, GateKind::Nor, 2, 4.0, VthClass::Low);
             assert!((lr_lib / lr_builtin - 1.0).abs() < 1e-12);
         }
     }

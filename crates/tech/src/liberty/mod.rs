@@ -20,18 +20,15 @@
 //!   `when`-conditioned per-state leakage and NLDM tables;
 //! * [`LibertyLibrary`] — presents a parsed library through the
 //!   [`crate::CellLibrary`] trait, with SS/TT/FF-style corner loading
-//!   ([`CornerSet`]);
-//! * [`parse`] — the legacy flat-attribute scanner (template round-trip
-//!   API, kept for compatibility).
+//!   ([`CornerSet`]).
 //!
-//! All errors from the typed path carry line/column ([`LibertyError`])
-//! and map onto the CLI's stable *parse* exit code.
+//! [`parse_library`] is the one parser. Its errors carry line/column
+//! ([`LibertyError`]) and map onto the CLI's stable *parse* exit code.
 
 pub mod ast;
 pub mod decode;
 pub mod error;
 pub mod export;
-mod legacy;
 pub mod lexer;
 mod liberty_lib;
 
@@ -40,5 +37,4 @@ pub use decode::{
 };
 pub use error::{LibertyError, LibertyErrorKind, LibertyLoadError};
 pub use export::{characterize, export, LibertyCell};
-pub use legacy::{parse, ParseLibertyError};
 pub use liberty_lib::{CornerSet, LibertyLibrary};

@@ -134,9 +134,8 @@ pub(crate) fn fnv1a64(text: &str) -> u64 {
 }
 
 /// The closed-form 100 nm models of [`crate::cell`] presented through the
-/// [`CellLibrary`] trait. Delegates verbatim to the same implementations
-/// the deprecated free functions forward to, so results are bit-identical
-/// to the pre-trait code.
+/// [`CellLibrary`] trait. Delegates verbatim to the crate-private closed
+/// forms, which the Liberty characterizer also evaluates.
 #[derive(Debug, Clone)]
 pub struct BuiltinLibrary {
     tech: Technology,
@@ -176,7 +175,7 @@ impl CellLibrary for BuiltinLibrary {
     }
 
     fn input_cap(&self, _kind: GateKind, _fanin: usize, size: f64, _vth: VthClass) -> f64 {
-        cell::input_cap_impl(&self.tech, size)
+        cell::input_cap(&self.tech, size)
     }
 
     fn delay(
@@ -189,7 +188,7 @@ impl CellLibrary for BuiltinLibrary {
         delta_l_rel: f64,
         delta_vth_rand: f64,
     ) -> f64 {
-        cell::gate_delay_impl(
+        cell::gate_delay(
             &self.tech,
             kind,
             fanin,
@@ -209,7 +208,7 @@ impl CellLibrary for BuiltinLibrary {
         vth: VthClass,
         c_load: f64,
     ) -> f64 {
-        cell::gate_delay_nominal_impl(&self.tech, kind, fanin, size, vth, c_load)
+        cell::gate_delay_nominal(&self.tech, kind, fanin, size, vth, c_load)
     }
 
     fn delay_sensitivities(
@@ -220,7 +219,7 @@ impl CellLibrary for BuiltinLibrary {
         vth: VthClass,
         c_load: f64,
     ) -> (f64, f64, f64) {
-        cell::delay_sensitivities_impl(&self.tech, kind, fanin, size, vth, c_load)
+        cell::delay_sensitivities(&self.tech, kind, fanin, size, vth, c_load)
     }
 
     fn leakage(
@@ -232,7 +231,7 @@ impl CellLibrary for BuiltinLibrary {
         delta_l_rel: f64,
         delta_vth_rand: f64,
     ) -> f64 {
-        cell::leakage_current_impl(
+        cell::leakage_current(
             &self.tech,
             kind,
             fanin,
@@ -244,7 +243,7 @@ impl CellLibrary for BuiltinLibrary {
     }
 
     fn leakage_nominal(&self, kind: GateKind, fanin: usize, size: f64, vth: VthClass) -> f64 {
-        cell::leakage_nominal_impl(&self.tech, kind, fanin, size, vth)
+        cell::leakage_nominal(&self.tech, kind, fanin, size, vth)
     }
 
     fn ln_leakage(
@@ -254,7 +253,7 @@ impl CellLibrary for BuiltinLibrary {
         size: f64,
         vth: VthClass,
     ) -> (f64, f64, f64) {
-        cell::ln_leakage_impl(&self.tech, kind, fanin, size, vth)
+        cell::ln_leakage(&self.tech, kind, fanin, size, vth)
     }
 
     fn leakage_by_state(
@@ -265,7 +264,7 @@ impl CellLibrary for BuiltinLibrary {
         vth: VthClass,
         state: usize,
     ) -> f64 {
-        let averaged = cell::leakage_nominal_impl(&self.tech, kind, fanin, size, vth);
+        let averaged = cell::leakage_nominal(&self.tech, kind, fanin, size, vth);
         let scalar = cell::leak_state_factor(kind, fanin);
         averaged * cell::leak_state_factor_for_state(kind, fanin, state) / scalar
     }
@@ -276,7 +275,6 @@ mod tests {
     use super::*;
 
     #[test]
-    #[allow(deprecated)]
     fn builtin_matches_closed_forms_bit_exactly() {
         let tech = Technology::ptm100();
         let lib = BuiltinLibrary::new(tech.clone());

@@ -1,12 +1,9 @@
-//! Property-based tests for the device models.
-//!
-//! These exercise the deprecated `cell::*` forwarders on purpose: they
-//! are the reference semantics `BuiltinLibrary` must keep matching.
-#![allow(deprecated)]
+//! Property-based tests for the device models, through the
+//! [`BuiltinLibrary`] that presents the closed forms to every analysis.
 
 use proptest::prelude::*;
 use statleak_netlist::GateKind;
-use statleak_tech::{cell, Technology, VthClass};
+use statleak_tech::{BuiltinLibrary, CellLibrary, Technology, VthClass};
 
 fn kinds() -> impl Strategy<Value = GateKind> {
     prop::sample::select(vec![
@@ -36,8 +33,8 @@ proptest! {
         dl in -0.2..0.2f64,
         dv in -0.1..0.1f64,
     ) {
-        let t = Technology::ptm100();
-        let d = cell::gate_delay(&t, kind, fanin, size, vth, c_load, dl, dv);
+        let lib = BuiltinLibrary::new(Technology::ptm100());
+        let d = lib.delay(kind, fanin, size, vth, c_load, dl, dv);
         prop_assert!(d.is_finite() && d > 0.0);
     }
 
@@ -49,9 +46,9 @@ proptest! {
         c1 in 0.0..100.0f64,
         extra in 0.1..100.0f64,
     ) {
-        let t = Technology::ptm100();
-        let d1 = cell::gate_delay_nominal(&t, kind, fanin, 2.0, vth, c1);
-        let d2 = cell::gate_delay_nominal(&t, kind, fanin, 2.0, vth, c1 + extra);
+        let lib = BuiltinLibrary::new(Technology::ptm100());
+        let d1 = lib.delay_nominal(kind, fanin, 2.0, vth, c1);
+        let d2 = lib.delay_nominal(kind, fanin, 2.0, vth, c1 + extra);
         prop_assert!(d2 > d1);
     }
 
@@ -62,12 +59,12 @@ proptest! {
         size in prop::sample::select(vec![1.0, 2.0, 6.0]),
         c_load in 1.0..80.0f64,
     ) {
-        let t = Technology::ptm100();
-        let dl = cell::gate_delay_nominal(&t, kind, fanin, size, VthClass::Low, c_load);
-        let dh = cell::gate_delay_nominal(&t, kind, fanin, size, VthClass::High, c_load);
+        let lib = BuiltinLibrary::new(Technology::ptm100());
+        let dl = lib.delay_nominal(kind, fanin, size, VthClass::Low, c_load);
+        let dh = lib.delay_nominal(kind, fanin, size, VthClass::High, c_load);
         prop_assert!(dh > dl);
-        let il = cell::leakage_nominal(&t, kind, fanin, size, VthClass::Low);
-        let ih = cell::leakage_nominal(&t, kind, fanin, size, VthClass::High);
+        let il = lib.leakage_nominal(kind, fanin, size, VthClass::Low);
+        let ih = lib.leakage_nominal(kind, fanin, size, VthClass::High);
         prop_assert!(il > ih * 10.0);
     }
 
@@ -77,9 +74,9 @@ proptest! {
         fanin in 1usize..4,
         vth in vths(),
     ) {
-        let t = Technology::ptm100();
-        let i1 = cell::leakage_nominal(&t, kind, fanin, 1.0, vth);
-        let i3 = cell::leakage_nominal(&t, kind, fanin, 3.0, vth);
+        let lib = BuiltinLibrary::new(Technology::ptm100());
+        let i1 = lib.leakage_nominal(kind, fanin, 1.0, vth);
+        let i3 = lib.leakage_nominal(kind, fanin, 3.0, vth);
         prop_assert!((i3 / i1 - 3.0).abs() < 1e-9);
     }
 
@@ -92,9 +89,9 @@ proptest! {
         dl in -0.15..0.15f64,
         dv in -0.05..0.05f64,
     ) {
-        let t = Technology::ptm100();
-        let (ln_nom, dln_dl, dln_dv) = cell::ln_leakage(&t, kind, fanin, size, vth);
-        let exact = cell::leakage_current(&t, kind, fanin, size, vth, dl, dv).ln();
+        let lib = BuiltinLibrary::new(Technology::ptm100());
+        let (ln_nom, dln_dl, dln_dv) = lib.ln_leakage(kind, fanin, size, vth);
+        let exact = lib.leakage(kind, fanin, size, vth, dl, dv).ln();
         prop_assert!((exact - (ln_nom + dln_dl * dl + dln_dv * dv)).abs() < 1e-9);
     }
 
@@ -105,13 +102,13 @@ proptest! {
         vth in vths(),
         c_load in 1.0..60.0f64,
     ) {
-        let t = Technology::ptm100();
-        let (d, dd_dl, dd_dv) = cell::delay_sensitivities(&t, kind, fanin, 2.0, vth, c_load);
+        let lib = BuiltinLibrary::new(Technology::ptm100());
+        let (d, dd_dl, dd_dv) = lib.delay_sensitivities(kind, fanin, 2.0, vth, c_load);
         let h = 1e-6;
-        let fd_l = (cell::gate_delay(&t, kind, fanin, 2.0, vth, c_load, h, 0.0)
-            - cell::gate_delay(&t, kind, fanin, 2.0, vth, c_load, -h, 0.0)) / (2.0 * h);
-        let fd_v = (cell::gate_delay(&t, kind, fanin, 2.0, vth, c_load, 0.0, h)
-            - cell::gate_delay(&t, kind, fanin, 2.0, vth, c_load, 0.0, -h)) / (2.0 * h);
+        let fd_l = (lib.delay(kind, fanin, 2.0, vth, c_load, h, 0.0)
+            - lib.delay(kind, fanin, 2.0, vth, c_load, -h, 0.0)) / (2.0 * h);
+        let fd_v = (lib.delay(kind, fanin, 2.0, vth, c_load, 0.0, h)
+            - lib.delay(kind, fanin, 2.0, vth, c_load, 0.0, -h)) / (2.0 * h);
         prop_assert!((dd_dl - fd_l).abs() / d < 1e-3, "dl {dd_dl} vs {fd_l}");
         prop_assert!((dd_dv - fd_v).abs() / dd_dv.abs() < 1e-3, "dv {dd_dv} vs {fd_v}");
     }

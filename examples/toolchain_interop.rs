@@ -26,18 +26,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Liberty view of the dual-Vth library.
     let lib = liberty::export(base.tech(), "statleak100");
-    let cells = liberty::parse(&lib)?;
+    let parsed = liberty::parse_library(&lib)?;
     println!(
         "Liberty export: {} characterized cells ({} bytes); e.g. {}",
-        cells.len(),
+        parsed.cells.len(),
         lib.len(),
-        cells
+        parsed
+            .cells
             .iter()
             .find(|c| c.name.starts_with("NAND2_X1"))
-            .map(|c| format!(
-                "{}: {:.1} fF in-cap, {:.2} nW leak, {:.1} ps + {:.2} ps/fF",
-                c.name, c.input_cap, c.leakage_nw, c.intrinsic_ps, c.slope_ps_per_ff
-            ))
+            .and_then(|c| {
+                let cap = c.pins.iter().find_map(|p| p.capacitance)?;
+                let arc = c.pins.iter().flat_map(|p| &p.timings).next()?;
+                Some(format!(
+                    "{}: {:.1} fF in-cap, {:.2} nW leak, {:.1} ps + {:.2} ps/fF",
+                    c.name, cap, c.cell_leakage_power?, arc.intrinsic_rise?, arc.rise_resistance?
+                ))
+            })
             .unwrap_or_default()
     );
 

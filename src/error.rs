@@ -25,7 +25,6 @@ use statleak_netlist::bench::ParseBenchError;
 use statleak_netlist::verilog::ParseVerilogError;
 use statleak_opt::SizeError;
 use statleak_stats::CholeskyError;
-use statleak_tech::liberty::ParseLibertyError;
 use std::fmt;
 
 /// All failures the `statleak` CLI and facade surface to callers.
@@ -51,8 +50,6 @@ pub enum StatleakError {
     ParseBench(ParseBenchError),
     /// A structural-Verilog netlist failed to parse.
     ParseVerilog(ParseVerilogError),
-    /// A Liberty-subset library failed to parse.
-    Liberty(ParseLibertyError),
     /// The spatial-correlation matrix failed to factor.
     Correlation(CholeskyError),
     /// A sizing/optimization target cannot be met.
@@ -81,8 +78,9 @@ impl StatleakError {
         match self {
             StatleakError::Usage(_) => 2,
             StatleakError::Io { .. } => 3,
-            StatleakError::UnknownFormat { .. } | StatleakError::ParseBench(_) => 4,
-            StatleakError::ParseVerilog(_) | StatleakError::Liberty(_) => 4,
+            StatleakError::UnknownFormat { .. }
+            | StatleakError::ParseBench(_)
+            | StatleakError::ParseVerilog(_) => 4,
             StatleakError::Correlation(_) => 5,
             StatleakError::Infeasible(_) => 6,
             StatleakError::Flow(e) => match e {
@@ -137,7 +135,6 @@ impl fmt::Display for StatleakError {
             ),
             StatleakError::ParseBench(e) => write!(f, "bench netlist: {e}"),
             StatleakError::ParseVerilog(e) => write!(f, "verilog netlist: {e}"),
-            StatleakError::Liberty(e) => write!(f, "liberty library: {e}"),
             StatleakError::Correlation(e) => write!(f, "correlation model: {e}"),
             StatleakError::Infeasible(e) => write!(f, "{e}"),
             StatleakError::Flow(e) => write!(f, "{e}"),
@@ -155,7 +152,6 @@ impl std::error::Error for StatleakError {
             StatleakError::Io { source, .. } => Some(source),
             StatleakError::ParseBench(e) => Some(e),
             StatleakError::ParseVerilog(e) => Some(e),
-            StatleakError::Liberty(e) => Some(e),
             StatleakError::Correlation(e) => Some(e),
             StatleakError::Infeasible(e) => Some(e),
             StatleakError::Flow(e) => Some(e),
@@ -173,12 +169,6 @@ impl From<ParseBenchError> for StatleakError {
 impl From<ParseVerilogError> for StatleakError {
     fn from(e: ParseVerilogError) -> Self {
         StatleakError::ParseVerilog(e)
-    }
-}
-
-impl From<ParseLibertyError> for StatleakError {
-    fn from(e: ParseLibertyError) -> Self {
-        StatleakError::Liberty(e)
     }
 }
 

@@ -119,19 +119,6 @@ fn flows_api_runs_quick_config() {
 }
 
 #[test]
-fn legacy_constructors_still_work() {
-    use statleak::core::flows::FlowConfig;
-    // The deprecated constructors must keep forwarding until removal.
-    #[allow(deprecated)]
-    let quick = FlowConfig::quick("c17");
-    let built = FlowConfig::builder("c17")
-        .mc_samples(200)
-        .build()
-        .expect("valid config");
-    assert_eq!(quick, built);
-}
-
-#[test]
 fn optimized_designs_keep_logic_function() {
     // Vth swaps and sizing must never change the boolean function.
     let (base, fm) = setup("c432");

@@ -95,7 +95,7 @@ fn lr_sizer_feeds_statistical_optimizer() {
 fn interchange_formats_agree() {
     let (d, _, _) = setup("c499");
     // Liberty describes the same cells the timing engine uses.
-    let cells = liberty::parse(&liberty::export(d.tech(), "x")).expect("liberty");
+    let lib = liberty::parse_library(&liberty::export(d.tech(), "x")).expect("liberty");
     // Most of the netlist's (kind, fanin) bindings exist in the library
     // (degenerate bindings like a deduplicated single-input NAND are
     // outside the characterized set).
@@ -104,9 +104,10 @@ fn interchange_formats_agree() {
         .iter()
         .filter(|&&g| {
             let node = d.circuit().node(g);
-            cells
-                .iter()
-                .any(|c| c.kind == node.kind && c.fanin == node.fanin.len())
+            lib.cells.iter().any(|c| {
+                c.function_kind.as_deref() == Some(node.kind.bench_keyword())
+                    && c.fanin_count == Some(node.fanin.len())
+            })
         })
         .count();
     assert!(
