@@ -1,8 +1,10 @@
-//! Shared helpers for the `statleak` benchmark and reproduction harness.
+//! Shared helpers for the `statleak` reproduction harness.
 //!
-//! The interesting entry points are the `repro` binary (regenerates every
-//! table and figure of the reproduction — see `EXPERIMENTS.md`) and the
-//! Criterion benches under `benches/`.
+//! The entry points are the `repro` binary (regenerates every table and
+//! figure of the reproduction — see `EXPERIMENTS.md`) and the `ssta_perf`
+//! SSTA scaling curve (`BENCH_ssta.json`). The repository benchmark lives
+//! in `perfbench/`; the CI timing gates are the `#[ignore]`d release
+//! tests in the root package's `tests/perf_gates.rs`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -32,7 +34,7 @@ pub fn standard_setup(name: &str) -> (Design, FactorModel) {
 
 /// Peak resident set size of this process so far (bytes), read from the
 /// `VmHWM` line of `/proc/self/status`. Returns `None` on platforms
-/// without procfs (the perf harness then omits the field).
+/// without procfs (`ssta_perf` then records `null`).
 ///
 /// The high-water mark is monotone over the process lifetime, so call
 /// sites that want per-phase attribution must measure phases in separate

@@ -48,7 +48,7 @@ use statleak_core::flows::FlowConfig;
 use statleak_obs as obs;
 use statleak_obs::TraceContext;
 use std::collections::{BTreeMap, VecDeque};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -56,6 +56,12 @@ use std::time::{Duration, Instant};
 
 /// How often blocked loops re-check the shutdown flag.
 const POLL: Duration = Duration::from_millis(50);
+
+/// Longest request line the server reads, in bytes before the newline.
+/// A request holds config fields, a library *path* and at most 64 batch
+/// items, so a real one is a few KiB; a longer line is answered with a
+/// typed `too-large` error and its connection is closed.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Server configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,6 +130,8 @@ pub struct ServeReport {
     pub protocol_errors: u64,
     /// Requests rejected because their session belongs to another shard.
     pub wrong_shard: u64,
+    /// Lines longer than [`MAX_LINE_BYTES`], answered `too-large`.
+    pub too_large: u64,
     /// Connections accepted over the server's lifetime.
     pub connections: u64,
 }
@@ -192,6 +200,7 @@ struct Shared {
     deadline_expired: AtomicU64,
     protocol_errors: AtomicU64,
     wrong_shard: AtomicU64,
+    too_large: AtomicU64,
     connections: AtomicU64,
 }
 
@@ -219,6 +228,7 @@ impl Shared {
             deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
             protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
             wrong_shard: self.wrong_shard.load(Ordering::Relaxed),
+            too_large: self.too_large.load(Ordering::Relaxed),
             connections: self.connections.load(Ordering::Relaxed),
         }
     }
@@ -263,6 +273,7 @@ impl Shared {
                     ("deadline_expired", Json::Num(r.deadline_expired as f64)),
                     ("protocol_errors", Json::Num(r.protocol_errors as f64)),
                     ("wrong_shard", Json::Num(r.wrong_shard as f64)),
+                    ("too_large", Json::Num(r.too_large as f64)),
                     ("connections", Json::Num(r.connections as f64)),
                     (
                         "queued",
@@ -424,6 +435,7 @@ impl Server {
             deadline_expired: AtomicU64::new(0),
             protocol_errors: AtomicU64::new(0),
             wrong_shard: AtomicU64::new(0),
+            too_large: AtomicU64::new(0),
             connections: AtomicU64::new(0),
         });
         Ok(Server {
@@ -888,23 +900,42 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
         Err(_) => return,
     };
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
         if shared.draining() {
             // In-flight work (below) has already been answered; close.
             return;
         }
         line.clear();
-        match read_line_polled(&mut reader, &mut line, shared) {
-            ReadOutcome::Closed => return,
-            ReadOutcome::Drain => return,
-            ReadOutcome::Line => {}
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        let response = dispatch(trimmed, shared);
+        let response = match read_line_polled(&mut reader, &mut line, shared) {
+            ReadOutcome::Closed | ReadOutcome::Drain => return,
+            ReadOutcome::TooLarge => {
+                shared.too_large.fetch_add(1, Ordering::Relaxed);
+                obs::counter!("serve_too_large_total").inc();
+                let response = proto::err_response(
+                    &Json::Null,
+                    &ProtoError {
+                        class: "too-large",
+                        message: format!(
+                            "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+                        ),
+                    },
+                );
+                // The rest of the line is never read: answer, then close.
+                let _ = writer
+                    .write_all(response.as_bytes())
+                    .and_then(|()| writer.write_all(b"\n"));
+                return;
+            }
+            ReadOutcome::Line => {
+                let text = String::from_utf8_lossy(&line);
+                let trimmed = text.trim();
+                if trimmed.is_empty() {
+                    continue;
+                }
+                dispatch(trimmed, shared)
+            }
+        };
         if writer
             .write_all(response.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))
@@ -919,6 +950,8 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
 enum ReadOutcome {
     /// A full line is in the buffer.
     Line,
+    /// The line outgrew [`MAX_LINE_BYTES`] before its newline arrived.
+    TooLarge,
     /// The peer closed the connection.
     Closed,
     /// The server is draining; stop reading.
@@ -927,12 +960,18 @@ enum ReadOutcome {
 
 fn read_line_polled(
     reader: &mut BufReader<TcpStream>,
-    line: &mut String,
+    line: &mut Vec<u8>,
     shared: &Shared,
 ) -> ReadOutcome {
     loop {
-        match reader.read_line(line) {
+        // Room for a full line and its newline: filling it without a
+        // newline proves the line too long.
+        let budget = (MAX_LINE_BYTES + 1).saturating_sub(line.len()) as u64;
+        match reader.by_ref().take(budget).read_until(b'\n', line) {
+            Ok(_) if line.ends_with(b"\n") => return ReadOutcome::Line,
+            Ok(_) if line.len() > MAX_LINE_BYTES => return ReadOutcome::TooLarge,
             Ok(0) => return ReadOutcome::Closed,
+            // The peer closed mid-line: serve what arrived.
             Ok(_) => return ReadOutcome::Line,
             Err(e)
                 if matches!(
@@ -1126,7 +1165,10 @@ fn dispatch(line: &str, shared: &Shared) -> String {
             let (tx, rx) = mpsc::channel();
             {
                 let mut queue = shared.queue.lock().expect("queue lock");
-                if queue.len() >= shared.queue_depth {
+                // A batch occupies one slot: the items it fans out do not
+                // count toward the high-water mark.
+                let lines = queue.iter().filter(|w| matches!(w, Work::Line(_))).count();
+                if lines >= shared.queue_depth {
                     shared.busy_rejected.fetch_add(1, Ordering::Relaxed);
                     obs::counter!("serve_busy_rejected_total").inc();
                     shared.audit(&AccessRecord {
@@ -1273,6 +1315,46 @@ mod tests {
     }
 
     #[test]
+    fn overlong_line_is_refused_too_large_and_serving_goes_on() {
+        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            ..Default::default()
+        };
+        let server = Server::bind(&config, &SHUTDOWN).expect("bind");
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run().expect("run"));
+
+        // 2 MiB without a newline. The server stops reading at the cap and
+        // closes, so the tail of the write may fail; the answer must come.
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("read timeout");
+        let mut writer = stream.try_clone().expect("clone");
+        let sender = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'x'; 2 * MAX_LINE_BYTES]);
+        });
+        let mut response = String::new();
+        BufReader::new(stream)
+            .read_line(&mut response)
+            .expect("too-large answer before the timeout");
+        sender.join().expect("sender thread");
+        assert!(response.contains(r#""class":"too-large""#), "{response}");
+
+        let pong = request(addr, r#"{"id":1,"op":"ping"}"#);
+        assert!(pong.contains(r#""pong":true"#), "{pong}");
+        let stats = request(addr, r#"{"id":2,"op":"stats"}"#);
+        assert!(stats.contains(r#""too_large":1"#), "{stats}");
+
+        request(addr, r#"{"id":3,"op":"shutdown"}"#);
+        let report = handle.join().expect("server thread");
+        assert_eq!(report.too_large, 1);
+        assert_eq!(report.protocol_errors, 0);
+    }
+
+    #[test]
     fn expired_deadline_is_reported_not_executed() {
         static SHUTDOWN: AtomicBool = AtomicBool::new(false);
         let config = ServeConfig {
@@ -1338,6 +1420,50 @@ mod tests {
         let report = handle.join().expect("server thread");
         assert_eq!(report.deadline_expired, 1);
         assert_eq!(report.served, 1);
+        SHUTDOWN.store(false, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn queued_batch_items_do_not_count_toward_the_high_water_mark() {
+        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            queue_depth: 1,
+            ..Default::default()
+        };
+        let server = Server::bind(&config, &SHUTDOWN).expect("bind");
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run().expect("run"));
+
+        // The lone worker runs the batch and then its first item (a cold
+        // c880 comparison); the second item waits in the queue meanwhile.
+        let batch = std::thread::spawn(move || {
+            request(
+                addr,
+                r#"{"id":"b","op":"batch","benchmark":"c880","mc_samples":0,"items":[{"op":"comparison"},{"op":"ablation"}]}"#,
+            )
+        });
+        let start = Instant::now();
+        while request(addr, r#"{"op":"stats"}"#).contains(r#""queued":0"#) {
+            assert!(
+                start.elapsed() < Duration::from_secs(60),
+                "items never queued"
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        // One queued item is not one queued line: this request is admitted.
+        let line = request(
+            addr,
+            r#"{"id":"l","op":"comparison","benchmark":"c17","mc_samples":0}"#,
+        );
+        assert!(line.contains(r#""ok":true"#), "{line}");
+        let batch = batch.join().expect("batch client");
+        assert!(batch.contains(r#""ok":true"#), "{batch}");
+
+        request(addr, r#"{"op":"shutdown"}"#);
+        let report = handle.join().expect("server thread");
+        assert_eq!(report.busy_rejected, 0);
         SHUTDOWN.store(false, Ordering::SeqCst);
     }
 

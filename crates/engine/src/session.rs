@@ -531,6 +531,8 @@ mod tests {
         let cold = session.run_comparison().unwrap();
         let warm = session.run_comparison().unwrap();
         assert_eq!(cold, warm);
+        // Bit for bit, not just `==` (which equates 0.0 and -0.0).
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
         assert_eq!(engine.cache_stats().memo_hits, 1);
         assert_eq!(session.memo_len(), 1);
         // A fresh session handle from the cache shares the same memo.

@@ -63,8 +63,8 @@ pub struct YieldEstimate {
     /// unweighted estimators; a small value flags likelihood-ratio
     /// degeneration.
     pub ess: f64,
-    /// Non-linear full-chip evaluations spent (the cost unit the
-    /// `BENCH_mc.json` comparisons are denominated in).
+    /// Non-linear full-chip evaluations spent (the cost unit of the
+    /// plain-vs-IS comparison in the root package's `tests/perf_gates.rs`).
     pub evaluations: usize,
     /// `‖s‖` of the applied mean shift (0 when importance sampling is off).
     pub shift_magnitude: f64,

@@ -90,6 +90,40 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
 
+/// The path named by the I/O error a failed stdout write raises.
+const STDOUT: &str = "<stdout>";
+
+/// Writes to stdout. Every stdout write in this binary goes through here
+/// (via `out!`/`outln!`), so a failed write is a typed I/O error on
+/// [`STDOUT`] rather than a panic, and `main` can treat a reader that
+/// went away (`statleak benchmarks | head`) as a quiet exit 0.
+fn emit(args: std::fmt::Arguments) -> Result<(), StatleakError> {
+    use std::io::Write;
+    std::io::stdout()
+        .write_fmt(args)
+        .map_err(|source| StatleakError::Io {
+            path: STDOUT.to_string(),
+            source,
+        })
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let result = setup_observability(&mut args).and_then(|trace| run(&args, trace.as_deref()));
@@ -98,6 +132,12 @@ fn main() -> ExitCode {
     obs::flush();
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        // Whoever read stdout has stopped listening: nothing left to say.
+        Err(StatleakError::Io { path, source })
+            if path == STDOUT && source.kind() == std::io::ErrorKind::BrokenPipe =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("statleak: {} error: {e}", e.class());
             ExitCode::from(e.exit_code())
@@ -151,12 +191,10 @@ fn setup_observability(args: &mut Vec<String>) -> Result<Option<String>, Statlea
 
 fn run(args: &[String], trace_file: Option<&str>) -> Result<(), StatleakError> {
     let Some(command) = args.first() else {
-        print_usage();
-        return Ok(());
+        return print_usage();
     };
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        print_usage();
-        return Ok(());
+        return print_usage();
     }
     match command.as_str() {
         "benchmarks" => {
@@ -170,18 +208,15 @@ fn run(args: &[String], trace_file: Option<&str>) -> Result<(), StatleakError> {
         "call" => cmd_call(&args[1..]),
         "top" => cmd_top(&args[1..]),
         "trace" => cmd_trace(&args[1..], trace_file),
-        "help" => {
-            print_usage();
-            Ok(())
-        }
+        "help" => print_usage(),
         other => Err(StatleakError::Usage(format!(
             "unknown command `{other}` (try --help)"
         ))),
     }
 }
 
-fn print_usage() {
-    println!(
+fn print_usage() -> Result<(), StatleakError> {
+    outln!(
         "statleak <command>\n\
          \n\
          commands:\n\
@@ -207,7 +242,7 @@ fn print_usage() {
          --mc-sampler: plain | sobol, layered with +is / +cv (e.g. sobol+is)\n\
          serve speaks newline-delimited JSON (docs/SERVE_PROTOCOL.md)\n\
          exit codes: 0 ok, 2 usage, 3 io, 4 parse, 5 model, 6 infeasible, 7 busy"
-    );
+    )
 }
 
 /// Strict flag parser: every argument must be a known flag; flags in
@@ -359,15 +394,24 @@ fn write_file(path: &str, text: String) -> Result<(), StatleakError> {
 }
 
 fn cmd_benchmarks() -> Result<(), StatleakError> {
-    println!(
+    outln!(
         "{:<8} {:>7} {:>8} {:>6} {:>6}  function",
-        "name", "inputs", "outputs", "gates", "depth"
-    );
+        "name",
+        "inputs",
+        "outputs",
+        "gates",
+        "depth"
+    )?;
     for s in &benchmarks::SUITE {
-        println!(
+        outln!(
             "{:<8} {:>7} {:>8} {:>6} {:>6}  {}",
-            s.name, s.inputs, s.outputs, s.gates, s.depth, s.function
-        );
+            s.name,
+            s.inputs,
+            s.outputs,
+            s.gates,
+            s.depth,
+            s.function
+        )?;
     }
     Ok(())
 }
@@ -397,53 +441,57 @@ fn cmd_analyze(args: &[String]) -> Result<(), StatleakError> {
     let library = parse_library_flag(&flags)?;
     let (design, fm) = build_context(load_circuit(&flags)?, &library)?;
     let stats = design.circuit().stats();
-    println!(
+    outln!(
         "{}: {} inputs, {} outputs, {} gates, depth {}",
         design.circuit().name(),
         stats.inputs,
         stats.outputs,
         stats.gates,
         stats.depth
-    );
+    )?;
     let sta = Sta::analyze(&design);
     let slew = SlewSta::analyze(&design);
     let ssta = Ssta::analyze(&design, &fm);
     let power = LeakageAnalysis::analyze(&design, &fm).total_power(&design);
-    println!(
+    outln!(
         "nominal delay      : {:.1} ps (slew-aware {:.1} ps)",
         sta.circuit_delay(),
         slew.circuit_delay()
-    );
-    println!(
+    )?;
+    outln!(
         "statistical delay  : {:.1} ps mean, {:.1} ps sigma",
         ssta.circuit_delay().mean,
         ssta.circuit_delay().std()
-    );
-    println!(
+    )?;
+    outln!(
         "leakage power      : {:.3} uW mean, {:.3} uW p95",
         power.mean() * 1e6,
         power.quantile(0.95) * 1e6
-    );
+    )?;
     let t_clk = clock_override.unwrap_or_else(|| ssta.clock_for_yield(0.95));
-    println!(
+    outln!(
         "yield @ {:.1} ps    : {:.4} (SSTA)",
         t_clk,
         ssta.timing_yield(t_clk)
-    );
+    )?;
     if mc_config.samples > 0 {
         let scheme = mc_config.scheme();
         let est = MonteCarlo::new(mc_config).timing_yield_estimate(&design, &fm, t_clk);
-        println!(
+        outln!(
             "MC yield ({scheme})  : {:.4}  95% CI [{:.4}, {:.4}]  ({} samples, ESS {:.0})",
-            est.yield_value, est.ci.lo, est.ci.hi, est.evaluations, est.ess
-        );
+            est.yield_value,
+            est.ci.lo,
+            est.ci.hi,
+            est.evaluations,
+            est.ess
+        )?;
     }
     if let Some(k) = report_k {
-        println!();
-        print!(
+        outln!()?;
+        out!(
             "{}",
             statleak::core::report::timing_report(&design, &sta, t_clk, k.max(1))
-        );
+        )?;
     }
     Ok(())
 }
@@ -498,19 +546,19 @@ fn cmd_optimize(args: &[String]) -> Result<(), StatleakError> {
     }
     let out = statistical_flow(&base, &fm, &proto)?;
     let r = &out.report;
-    println!(
+    outln!(
         "optimized: p95 leakage {:.3} uW -> {:.3} uW ({:.1}% saved), yield {:.4}",
         r.initial_objective * 1e6,
         r.final_objective * 1e6,
         (1.0 - r.final_objective / r.initial_objective) * 100.0,
         r.final_yield
-    );
-    println!(
+    )?;
+    outln!(
         "gates: {} high-Vth of {}, total width {:.0}",
         out.design.high_vth_count(),
         out.design.circuit().num_gates(),
         out.design.total_width()
-    );
+    )?;
 
     // Monte-Carlo confirmation (skipped with --mc-samples 0).
     if mc_config.samples > 0 {
@@ -531,13 +579,13 @@ fn cmd_optimize(args: &[String]) -> Result<(), StatleakError> {
         } else {
             engine.run(&out.design, &fm)
         };
-        println!(
+        outln!(
             "MC check ({scheme}): yield {:.4} 95% CI [{:.4}, {:.4}], p95 leakage {:.3} uW",
             est.yield_value,
             est.ci.lo,
             est.ci.hi,
             population.leakage_percentile(0.95) * out.design.tech().vdd * 1e6
-        );
+        )?;
     }
 
     if let Some(path) = flags.get("--out-verilog") {
@@ -559,7 +607,7 @@ fn cmd_export_lib(args: &[String]) -> Result<(), StatleakError> {
             write_file(path, text)?;
             eprintln!("wrote {path}");
         }
-        None => print!("{text}"),
+        None => out!("{text}")?,
     }
     Ok(())
 }
@@ -688,7 +736,7 @@ fn cmd_serve(args: &[String]) -> Result<(), StatleakError> {
     })?;
     // Scripts (and the integration tests) read this line to learn the
     // resolved port when binding to :0.
-    println!("serving on {}", server.local_addr());
+    outln!("serving on {}", server.local_addr())?;
     let report = server.run().map_err(|e| StatleakError::Io {
         path: config.addr.clone(),
         source: e,
@@ -778,7 +826,7 @@ fn cmd_call(args: &[String]) -> Result<(), StatleakError> {
             message: "server closed the connection without responding".into(),
         });
     }
-    println!("{response}");
+    outln!("{response}")?;
     // Mirror the server's verdict in the exit code so scripts can dispatch
     // on `statleak call` exactly like on the one-shot commands.
     let parsed = Json::parse(response).map_err(|e| StatleakError::Remote {
@@ -982,8 +1030,6 @@ fn render_row(poll: &NodePoll, rate: Option<f64>) -> String {
 }
 
 fn cmd_top(args: &[String]) -> Result<(), StatleakError> {
-    use std::io::Write;
-
     let flags = parse_flags(args, &["--ring", "--interval-ms"], &["--once", "--json"])?;
     let ring = flags
         .get("--ring")
@@ -1016,7 +1062,7 @@ fn cmd_top(args: &[String]) -> Result<(), StatleakError> {
                 ("nodes", Json::Arr(polls.iter().map(poll_json).collect())),
                 ("fleet", poll_json(&fleet)),
             ]);
-            println!("{out}");
+            outln!("{out}")?;
         } else {
             let mut screen = String::new();
             if !once {
@@ -1060,8 +1106,7 @@ fn cmd_top(args: &[String]) -> Result<(), StatleakError> {
             });
             screen.push_str(&render_row(&fleet, fleet_rate));
             screen.push('\n');
-            print!("{screen}");
-            std::io::stdout().flush().ok();
+            out!("{screen}")?;
         }
         if once {
             // Every node down is an I/O failure, not a quiet empty table.
@@ -1170,24 +1215,28 @@ fn cmd_trace(args: &[String], trace_file: Option<&str>) -> Result<(), StatleakEr
     let span_count = rows.iter().map(|r| r.calls).sum::<u64>();
     let self_sum: f64 = rows.iter().map(|r| r.self_us).sum();
 
-    println!(
+    outln!(
         "{name}: t_clk {:.1} ps, det p95 {:.3} uW, stat p95 {:.3} uW \
          ({:.1}% extra saving)",
         outcome.t_clk,
         outcome.deterministic.leakage_p95 * 1e6,
         outcome.statistical.leakage_p95 * 1e6,
         outcome.stat_extra_saving * 100.0
-    );
-    println!(
+    )?;
+    outln!(
         "\n{span_count} spans recorded; top {} by self time:",
         top.min(rows.len())
-    );
-    println!(
+    )?;
+    outln!(
         "{:<26} {:>8} {:>12} {:>12} {:>6}",
-        "span", "calls", "total ms", "self ms", "self%"
-    );
+        "span",
+        "calls",
+        "total ms",
+        "self ms",
+        "self%"
+    )?;
     for r in rows.iter().take(top) {
-        println!(
+        outln!(
             "{:<26} {:>8} {:>12.2} {:>12.2} {:>5.1}%",
             r.name,
             r.calls,
@@ -1198,7 +1247,7 @@ fn cmd_trace(args: &[String], trace_file: Option<&str>) -> Result<(), StatleakEr
             } else {
                 0.0
             }
-        );
+        )?;
     }
     if let Some(path) = trace_file {
         eprintln!("wrote {} trace records to {path}", records.len());

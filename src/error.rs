@@ -98,7 +98,7 @@ impl StatleakError {
             },
             StatleakError::Busy(_) => 7,
             StatleakError::Remote { class, .. } => match class.as_str() {
-                "usage" | "config" | "unknown-benchmark" | "library-corner" => 2,
+                "usage" | "config" | "unknown-benchmark" | "library-corner" | "too-large" => 2,
                 "io" | "library-io" => 3,
                 "parse" | "library-parse" => 4,
                 "model" | "correlation" => 5,
@@ -275,6 +275,7 @@ mod tests {
         };
         assert_eq!(remote("usage").exit_code(), 2);
         assert_eq!(remote("unknown-benchmark").exit_code(), 2);
+        assert_eq!(remote("too-large").exit_code(), 2);
         assert_eq!(remote("correlation").exit_code(), 5);
         assert_eq!(remote("infeasible").exit_code(), 6);
         assert_eq!(remote("busy").exit_code(), 7);

@@ -202,3 +202,21 @@ fn help_flag_succeeds_anywhere() {
     assert!(out.status.success());
     assert!(String::from_utf8_lossy(&out.stdout).contains("statleak <command>"));
 }
+
+/// A reader that goes away before the output arrives (`statleak … | head`)
+/// ends the command quietly with exit 0, never with a panic.
+#[test]
+fn closed_stdout_exits_quietly() {
+    for args in [&["benchmarks"][..], &["analyze", "--input", "c432"]] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_statleak"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {} {stderr}", out.status);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
