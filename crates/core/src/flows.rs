@@ -1,7 +1,9 @@
 //! The experiment flows.
 
 use statleak_leakage::LeakageAnalysis;
-use statleak_mc::{McConfig, MonteCarlo, SamplingScheme, VarianceReduction, DEFAULT_CI_Z};
+use statleak_mc::{
+    McConfig, McResult, MonteCarlo, SamplingScheme, VarianceReduction, YieldEstimate, DEFAULT_CI_Z,
+};
 use statleak_netlist::{benchmarks, placement::Placement, Circuit};
 use statleak_obs as obs;
 use statleak_opt::{deterministic_for_yield, sizing, statistical_for_yield};
@@ -607,22 +609,7 @@ pub fn measure(
     let ssta = Ssta::analyze(design, fm);
     let power = LeakageAnalysis::analyze(design, fm).total_power(design);
     let (mc_yield, mc_yield_ci, mc_p95) = if spec.samples > 0 {
-        // The population run (leakage percentile + counting/CV yield)
-        // never applies the mean shift — IS is an estimator transform,
-        // not a population transform.
-        let population = MonteCarlo::new(McConfig {
-            variance_reduction: VarianceReduction {
-                importance_sampling: false,
-                ..spec.mc_config().variance_reduction
-            },
-            ..spec.mc_config()
-        });
-        let result = population.run(design, fm);
-        let est = if spec.sampling.variance_reduction.importance_sampling {
-            MonteCarlo::new(spec.mc_config()).timing_yield_estimate(design, fm, t_clk)
-        } else {
-            population.yield_estimate_from(&result, t_clk)
-        };
+        let (est, result) = mc_check(design, fm, t_clk, spec.mc_config());
         let vdd = design.tech().vdd;
         (
             Some(est.yield_value),
@@ -644,6 +631,35 @@ pub fn measure(
         high_vth: design.high_vth_count(),
         runtime_s,
     }
+}
+
+/// Monte-Carlo check of a design at `t_clk`: the yield estimate and the
+/// population run that the leakage percentile is read from.
+///
+/// The population never applies the mean shift (IS is an estimator
+/// transform, not a population transform), so with importance sampling
+/// on the yield comes from its own shifted batch; otherwise it is read
+/// off the one population run, with control variates when configured.
+pub fn mc_check(
+    design: &Design,
+    fm: &FactorModel,
+    t_clk: f64,
+    config: McConfig,
+) -> (YieldEstimate, McResult) {
+    let population = MonteCarlo::new(McConfig {
+        variance_reduction: VarianceReduction {
+            importance_sampling: false,
+            ..config.variance_reduction
+        },
+        ..config.clone()
+    });
+    let result = population.run(design, fm);
+    let est = if config.variance_reduction.importance_sampling {
+        MonteCarlo::new(config).timing_yield_estimate(design, fm, t_clk)
+    } else {
+        population.yield_estimate_from(&result, t_clk)
+    };
+    (est, result)
 }
 
 /// Outcome of the headline three-way comparison (table T2).

@@ -13,7 +13,7 @@
 //! | `store`             | served from the on-disk result store           |
 //! | `cold`              | session prepared from scratch                  |
 //! | `busy`              | shed at the queue high-water mark              |
-//! | `deadline_exceeded` | expired in queue before a worker picked it up  |
+//! | `deadline_exceeded` | expired while waiting, before it started       |
 //! | `wrong-shard`       | redirected to the owning fleet node            |
 //! | `error`             | request failed (see `class`)                   |
 //!
@@ -48,9 +48,9 @@ pub struct AccessRecord {
     pub outcome: &'static str,
     /// Hex session-key hash, when the request resolved one.
     pub session_key: Option<u64>,
-    /// Nanoseconds spent queued before a worker picked the job up.
+    /// Nanoseconds from arrival until the request started running.
     pub queue_wait_ns: Option<u64>,
-    /// Nanoseconds of execution once dequeued.
+    /// Nanoseconds of execution once admitted.
     pub service_ns: Option<u64>,
     /// Set when the request was served but finished past its deadline.
     pub deadline_exceeded: bool,
@@ -93,7 +93,7 @@ struct Inner {
 }
 
 /// Size-rotated NDJSON audit-log writer; cheap to share (`write` takes
-/// `&self`), safe from any worker thread.
+/// `&self`), safe from any connection thread.
 pub struct AccessLog {
     path: PathBuf,
     max_bytes: u64,

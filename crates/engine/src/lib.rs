@@ -18,8 +18,9 @@
 //!   additionally memoize full results (sound because every flow is
 //!   deterministic end to end: fixed MC seed, ordered reductions).
 //! - [`serve`] — a newline-delimited-JSON TCP daemon over the engine,
-//!   with a bounded worker pool, `busy` backpressure past a high-water
-//!   mark, per-request deadlines, and graceful drain on shutdown.
+//!   where each connection thread runs its own requests behind one FIFO
+//!   admission gate, with `busy` backpressure past a high-water mark,
+//!   per-request deadlines, and graceful drain on shutdown.
 //!
 //! ```
 //! use statleak_core::flows::FlowConfig;

@@ -13,8 +13,8 @@
 //! | `unknown-benchmark` | the named circuit does not exist             |
 //! | `correlation`       | correlation matrix failed to factor          |
 //! | `infeasible`        | optimization target cannot be met            |
-//! | `busy`              | queue at high-water mark, request rejected   |
-//! | `deadline`          | request expired before a worker picked it up |
+//! | `busy`              | `queue_depth` requests waiting, rejected     |
+//! | `deadline`          | request expired before it started running    |
 //! | `wrong-shard`       | another fleet node owns this session         |
 //! | `shutdown`          | server is draining, no new work accepted     |
 //! | `internal`          | anything else                                |
@@ -50,9 +50,9 @@ pub struct Request {
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Op {
-    /// Liveness check; answered inline, never queued.
+    /// Liveness check; answered inline, never waits for a turn.
     Ping,
-    /// Cache/server counters; answered inline, never queued.
+    /// Cache/server counters; answered inline, never waits for a turn.
     Stats,
     /// Begin graceful drain; answered inline.
     Shutdown,
@@ -72,11 +72,11 @@ pub enum Op {
     Distribution(FlowConfig, usize),
     /// Modeling ablations (A1).
     Ablation(FlowConfig),
-    /// Several analysis ops over one shared session, fanned across the
-    /// worker pool and answered as a single aggregated response.
+    /// Several analysis ops over one shared session, run one after another
+    /// and answered as a single aggregated response.
     Batch(FlowConfig, Vec<Op>),
     /// Consistent-hash routing query: which fleet node owns this
-    /// session? Answered inline, never queued.
+    /// session? Answered inline, never waits for a turn.
     Route(FlowConfig, RouteSpec),
 }
 
@@ -111,8 +111,9 @@ impl Op {
     }
 
     /// Whether the op is answered inline by the connection handler
-    /// (control ops) rather than queued to the worker pool. `route` is
-    /// control: it only hashes, so it stays responsive under load.
+    /// (control ops) rather than after a turn at the admission gate.
+    /// `route` is control: it only hashes, so it stays responsive under
+    /// load.
     pub fn is_control(&self) -> bool {
         matches!(
             self,
@@ -302,8 +303,8 @@ fn parse_config(obj: &Json) -> Result<FlowConfig, ProtoError> {
 /// Upper bound on sub-requests in one `batch` op.
 pub const MAX_BATCH_ITEMS: usize = 64;
 
-/// The op names that run on the worker pool against a session (batch
-/// items must be one of these).
+/// The op names that run against a session behind the admission gate
+/// (batch items must be one of these).
 const ANALYSIS_OPS: &[&str] = &[
     "comparison",
     "sweep",
@@ -740,7 +741,7 @@ pub fn execute(session: &Session, op: &Op) -> Result<Json, ProtoError> {
             flow(session.distribution().map(|d| distribution_json(&d, *bins)))
         }
         Op::Ablation(_) => flow(session.ablation().map(|r| ablation_json(&r))),
-        // Batch is fanned out by the server, not executed as one unit.
+        // The server runs a batch item by item, not as one unit.
         Op::Batch(..)
         | Op::Ping
         | Op::Stats

@@ -3,9 +3,11 @@
 //! Transport: plain `std::net` TCP, newline-delimited JSON (one request
 //! per line, one response line per request, in order per connection). No
 //! async runtime: a nonblocking accept loop hands each connection to a
-//! thread, analysis ops flow through a bounded queue into a fixed worker
-//! pool, and control ops (`ping`/`stats`/`route`/`shutdown`) are answered
-//! inline so they stay responsive under load.
+//! thread, and that thread runs each of its requests itself. Analysis ops
+//! first take a permit from one admission gate that lets at most
+//! `workers` requests run at once and admits waiters in arrival order;
+//! control ops (`ping`/`stats`/`route`/`shutdown`) skip the gate, so they
+//! stay responsive under load.
 //!
 //! Three production features sit on top of that core:
 //!
@@ -15,43 +17,44 @@
 //!   prepared — so a restarted daemon (even after `kill -9`) answers
 //!   repeated requests from disk without rebuilding anything, and fleet
 //!   members sharing one directory pre-seed each other.
-//! - **Batching**: a `batch` request acquires one session and fans its
-//!   items across the worker pool; the submitting worker helps drain
-//!   items itself, so a pool saturated with batch parents still makes
-//!   progress (items never block, parents only run items).
+//! - **Batching**: a `batch` request holds one permit, acquires one
+//!   session, and runs its items one after another over that session;
+//!   each item's flow parallelises its own inner loops, so a batch uses
+//!   the machine like one request and counts as one against `workers`.
 //! - **Sharding** ([`Ring`]): with a consistent-hash ring and a self node
 //!   configured, sessions owned by another fleet member are rejected with
 //!   a typed `wrong-shard` error naming the owner, and the `route`
 //!   control op lets clients (or peers) resolve owners without a
 //!   coordinator.
 //!
-//! Load shedding is explicit rather than implicit: once the queue reaches
-//! the configured high-water mark a request is rejected immediately with
-//! a typed `busy` error, and a request that waits in the queue past its
-//! deadline is answered `deadline` instead of silently running late. A
+//! Load shedding is explicit rather than implicit: once `queue_depth`
+//! requests wait at the gate, the next is rejected immediately with a
+//! typed `busy` error, and a request whose deadline passes before it is
+//! admitted is answered `deadline` instead of silently running late. A
 //! request that *starts* in time but finishes past its deadline is still
 //! answered, marked `"deadline_exceeded":true`, and counted — so the
 //! `deadline_expired` report is truthful either way.
 //!
 //! Shutdown is cooperative: when the shutdown flag flips (SIGTERM in the
-//! CLI, or a `shutdown` request), the listener stops accepting, queued
-//! and in-flight requests drain to completion, every response is written,
+//! CLI, or a `shutdown` request), the listener stops accepting, waiting
+//! and running requests drain to completion, every response is written,
 //! and [`Server::run`] returns its final [`ServeReport`].
 
 use crate::audit::{AccessLog, AccessRecord};
 use crate::json::Json;
 use crate::proto::{self, Op, ProtoError, Request};
 use crate::ring::{Ring, DEFAULT_REPLICAS};
-use crate::session::{session_key, Engine, Session};
+use crate::session::{session_key, Engine};
 use crate::store::Store;
 use statleak_core::flows::FlowConfig;
 use statleak_obs as obs;
 use statleak_obs::TraceContext;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How often blocked loops re-check the shutdown flag.
@@ -70,14 +73,15 @@ pub struct ServeConfig {
     /// Bind address, e.g. `127.0.0.1:7878` (`:0` picks an ephemeral port;
     /// read it back from [`Server::local_addr`]).
     pub addr: String,
-    /// Worker threads executing analysis ops (0 = available parallelism,
-    /// capped at 8).
+    /// Analysis requests allowed to run at once (0 = available
+    /// parallelism, capped at 8).
     pub workers: usize,
-    /// Queue high-water mark: requests beyond this many *queued* (not yet
-    /// executing) are rejected with a `busy` error.
+    /// High-water mark: a request arriving while this many wait for a
+    /// permit (admitted but not yet running) is rejected with a `busy`
+    /// error.
     pub queue_depth: usize,
-    /// Default per-request queue deadline; `None` = wait forever unless
-    /// the request carries its own `deadline_ms`.
+    /// Default per-request admission deadline; `None` = wait forever
+    /// unless the request carries its own `deadline_ms`.
     pub default_deadline_ms: Option<u64>,
     /// Capacity of the session LRU cache.
     pub cache_capacity: usize,
@@ -136,45 +140,89 @@ pub struct ServeReport {
     pub connections: u64,
 }
 
-struct Job {
-    request: Request,
-    /// Trace context for the whole request: the client's if it sent one,
-    /// otherwise originated by the server at dispatch.
-    trace: TraceContext,
-    accepted: Instant,
-    deadline: Option<Duration>,
-    reply: mpsc::Sender<String>,
+/// The admission gate in front of every analysis request: at most
+/// `workers` hold a permit at once, at most `queue_depth` wait for one,
+/// and waiters are admitted in arrival order (a ticket pair, as at a
+/// bakery counter). Its waits have no timeout: a permit's release wakes
+/// them.
+struct Admission {
+    state: Mutex<GateState>,
+    cv: Condvar,
+    workers: usize,
+    queue_depth: usize,
 }
 
-/// One item of an in-flight `batch` request, shared between the parent
-/// worker and whichever worker (possibly the parent) executes it.
-struct BatchState {
-    session: Session,
-    ops: Vec<Op>,
-    results: Mutex<Vec<Option<Result<Json, ProtoError>>>>,
-    remaining: AtomicUsize,
-    /// The batch envelope's trace context, inherited by every item so one
-    /// trace id joins the fan-out across workers.
-    trace: TraceContext,
-    /// The envelope's request id, repeated on per-item audit records.
-    request_id: Json,
-    /// Where the shared session came from (`cache` or `cold`), stamped on
-    /// computed items' audit records.
-    session_origin: &'static str,
-    session_key: u64,
+#[derive(Default)]
+struct GateState {
+    running: usize,
+    /// The next ticket to hand out; the waiters hold `head..next`.
+    next: usize,
+    /// The ticket admitted next.
+    head: usize,
+    /// High-water mark of `next - head` actually observed.
+    max_waiting: usize,
 }
 
-struct BatchItem {
-    state: Arc<BatchState>,
-    index: usize,
+impl Admission {
+    fn new(workers: usize, queue_depth: usize) -> Admission {
+        Admission {
+            state: Mutex::new(GateState::default()),
+            cv: Condvar::new(),
+            workers,
+            queue_depth,
+        }
+    }
+
+    /// The lock is never held across a panic, but a poisoned one still
+    /// holds consistent counters: recover it rather than wedge the gate.
+    fn lock(&self) -> MutexGuard<'_, GateState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Blocks until this request may run, or returns `None` at once (shed
+    /// `busy`) when `queue_depth` requests are already waiting.
+    fn admit(&self) -> Option<Permit<'_>> {
+        let mut s = self.lock();
+        if s.next == s.head && s.running < self.workers {
+            s.running += 1;
+            return Some(Permit(self));
+        }
+        if s.next - s.head >= self.queue_depth {
+            return None;
+        }
+        let ticket = s.next;
+        s.next += 1;
+        s.max_waiting = s.max_waiting.max(s.next - s.head);
+        while s.head != ticket || s.running >= self.workers {
+            s = self.cv.wait(s).unwrap_or_else(PoisonError::into_inner);
+        }
+        s.head += 1;
+        s.running += 1;
+        drop(s);
+        // The next ticket may fit too when several permits freed at once.
+        self.cv.notify_all();
+        Some(Permit(self))
+    }
+
+    fn waiting(&self) -> usize {
+        let s = self.lock();
+        s.next - s.head
+    }
+
+    fn max_waiting(&self) -> usize {
+        self.lock().max_waiting
+    }
 }
 
-/// What the worker queue carries: whole request lines, or single batch
-/// items fanned out by a batch parent. Items never block, so a parent
-/// helping drain them cannot deadlock the pool.
-enum Work {
-    Line(Box<Job>),
-    Item(BatchItem),
+/// A running request's slot. Dropping it (also on unwind) frees the slot
+/// and wakes the waiters, so a panicking request cannot shrink the pool.
+struct Permit<'a>(&'a Admission);
+
+impl Drop for Permit<'_> {
+    fn drop(&mut self) {
+        self.0.lock().running -= 1;
+        self.0.cv.notify_all();
+    }
 }
 
 struct Shared {
@@ -183,18 +231,13 @@ struct Shared {
     access: Option<AccessLog>,
     ring: Option<Ring>,
     self_node: Option<String>,
-    queue: Mutex<VecDeque<Work>>,
-    queue_cv: Condvar,
-    queue_depth: usize,
+    admission: Admission,
     default_deadline: Option<Duration>,
-    workers: usize,
     started: Instant,
     shutdown: &'static AtomicBool,
     served: AtomicU64,
     /// Per-op request counts (every parsed request, control ops included).
     op_counts: Mutex<BTreeMap<&'static str, u64>>,
-    /// High-water mark of the queue length actually observed.
-    max_queued: AtomicU64,
     request_errors: AtomicU64,
     busy_rejected: AtomicU64,
     deadline_expired: AtomicU64,
@@ -275,16 +318,10 @@ impl Shared {
                     ("wrong_shard", Json::Num(r.wrong_shard as f64)),
                     ("too_large", Json::Num(r.too_large as f64)),
                     ("connections", Json::Num(r.connections as f64)),
-                    (
-                        "queued",
-                        Json::Num(self.queue.lock().expect("queue lock").len() as f64),
-                    ),
-                    (
-                        "max_queued",
-                        Json::Num(self.max_queued.load(Ordering::Relaxed) as f64),
-                    ),
-                    ("workers", Json::Num(self.workers as f64)),
-                    ("queue_depth", Json::Num(self.queue_depth as f64)),
+                    ("queued", Json::Num(self.admission.waiting() as f64)),
+                    ("max_queued", Json::Num(self.admission.max_waiting() as f64)),
+                    ("workers", Json::Num(self.admission.workers as f64)),
+                    ("queue_depth", Json::Num(self.admission.queue_depth as f64)),
                     ("uptime_s", Json::Num(self.started.elapsed().as_secs_f64())),
                     ("draining", Json::Bool(self.draining())),
                 ]),
@@ -354,7 +391,7 @@ pub struct Server {
 
 impl Server {
     /// Binds the listener, opens the store, builds the ring, and sizes
-    /// the worker pool.
+    /// the admission gate.
     ///
     /// The `shutdown` flag is the drain trigger: the CLI points it at a
     /// static that its SIGTERM handler sets; a `shutdown` request sets the
@@ -385,10 +422,13 @@ impl Server {
             None => None,
         };
         let registry = obs::Registry::global();
-        registry.describe("serve_queue_wait_ns", "Time a request waited queued (ns)");
+        registry.describe(
+            "serve_queue_wait_ns",
+            "Time a request waited for admission (ns)",
+        );
         registry.describe(
             "serve_service_ns",
-            "Request execution time once dequeued (ns)",
+            "Request execution time once admitted (ns)",
         );
         registry.describe(
             "serve_requests_total",
@@ -420,16 +460,12 @@ impl Server {
             access,
             ring,
             self_node: config.self_node.clone(),
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
-            queue_depth: config.queue_depth.max(1),
+            admission: Admission::new(workers, config.queue_depth.max(1)),
             default_deadline: config.default_deadline_ms.map(Duration::from_millis),
-            workers,
             started: Instant::now(),
             shutdown,
             served: AtomicU64::new(0),
             op_counts: Mutex::new(BTreeMap::new()),
-            max_queued: AtomicU64::new(0),
             request_errors: AtomicU64::new(0),
             busy_rejected: AtomicU64::new(0),
             deadline_expired: AtomicU64::new(0),
@@ -450,7 +486,7 @@ impl Server {
         self.local_addr
     }
 
-    /// Runs accept/worker loops until the shutdown flag flips, then drains
+    /// Runs the accept loop until the shutdown flag flips, then drains
     /// in-flight requests and returns the final counters.
     ///
     /// # Errors
@@ -460,17 +496,6 @@ impl Server {
         let Server {
             listener, shared, ..
         } = self;
-
-        let mut worker_handles = Vec::new();
-        for i in 0..shared.workers {
-            let shared = shared.clone();
-            worker_handles.push(
-                std::thread::Builder::new()
-                    .name(format!("statleak-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker thread"),
-            );
-        }
 
         // Connection threads are detached; the gate counts them so drain
         // can wait for the last one without holding a handle per
@@ -496,66 +521,39 @@ impl Server {
             }
         }
 
-        // Drain: stop accepting (listener drops below), let connection
-        // threads finish their in-flight request, then let workers empty
-        // the queue.
+        // Drain: stop accepting (listener drops below) and let connection
+        // threads finish their waiting and running requests.
         drop(listener);
         gate.wait_idle();
-        shared.queue_cv.notify_all();
-        for handle in worker_handles {
-            let _ = handle.join();
-        }
         Ok(shared.report())
     }
 }
 
-fn worker_loop(shared: &Shared) {
-    loop {
-        let work = {
-            let mut queue = shared.queue.lock().expect("queue lock");
-            loop {
-                if let Some(work) = queue.pop_front() {
-                    break Some(work);
-                }
-                if shared.draining() {
-                    break None;
-                }
-                let (q, _) = shared
-                    .queue_cv
-                    .wait_timeout(queue, POLL)
-                    .expect("queue lock");
-                queue = q;
-            }
-        };
-        match work {
-            None => return,
-            Some(Work::Line(job)) => {
-                let line = process(shared, &job);
-                // A dropped receiver just means the client hung up
-                // mid-request.
-                let _ = job.reply.send(line);
-            }
-            Some(Work::Item(item)) => run_batch_item(shared, &item),
-        }
-    }
-}
-
-fn process(shared: &Shared, job: &Job) -> String {
+/// Runs one admitted analysis request and renders its response line.
+/// `accepted` is when the request arrived at the gate; `trace` is the
+/// client's context or one the server originated at dispatch.
+fn process(
+    shared: &Shared,
+    request: &Request,
+    trace: TraceContext,
+    accepted: Instant,
+    deadline: Option<Duration>,
+) -> String {
     // Install the trace context before anything records: the span below,
-    // the histograms (exemplars), and every batch item fanned out from
-    // here all pick it up.
-    let _trace = obs::trace::enter(job.trace);
+    // the histograms (exemplars), and every batch item run from here all
+    // pick it up.
+    let _trace = obs::trace::enter(trace);
     let _span = obs::span!("serve.process");
-    let id = &job.request.id;
-    let queue_wait = job.accepted.elapsed();
+    let id = &request.id;
+    let queue_wait = accepted.elapsed();
     obs::histogram!("serve_queue_wait_ns").record_duration_traced(queue_wait);
     // Client-supplied trace ids are echoed in the response; server-
     // originated ones are not, so untraced repeats stay byte-identical.
-    let client_traced = job.request.trace.is_some();
+    let client_traced = request.trace.is_some();
     let mut record = AccessRecord {
-        trace_id: job.trace.trace_id,
+        trace_id: trace.trace_id,
         id: id.clone(),
-        op: job.request.op.name(),
+        op: request.op.name(),
         outcome: "error",
         session_key: None,
         queue_wait_ns: Some(queue_wait.as_nanos() as u64),
@@ -563,15 +561,15 @@ fn process(shared: &Shared, job: &Job) -> String {
         deadline_exceeded: false,
         batch_index: None,
     };
-    if let Some(deadline) = job.deadline {
-        if job.accepted.elapsed() > deadline {
+    if let Some(deadline) = deadline {
+        if accepted.elapsed() > deadline {
             shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
             obs::counter!("serve_deadline_expired_total").inc();
             record.outcome = "deadline_exceeded";
             shared.audit(&record);
             let mut extra: Vec<(&str, Json)> = Vec::new();
             if client_traced {
-                extra.push(proto::trace_extra(&job.trace));
+                extra.push(proto::trace_extra(&trace));
             }
             return proto::err_response_with(
                 id,
@@ -579,7 +577,7 @@ fn process(shared: &Shared, job: &Job) -> String {
                     class: "deadline",
                     message: format!(
                         "request waited {:.0} ms, past its {:.0} ms deadline",
-                        job.accepted.elapsed().as_secs_f64() * 1e3,
+                        accepted.elapsed().as_secs_f64() * 1e3,
                         deadline.as_secs_f64() * 1e3
                     ),
                 },
@@ -588,16 +586,14 @@ fn process(shared: &Shared, job: &Job) -> String {
         }
     }
     let service_start = Instant::now();
-    let outcome = execute_line(shared, &job.request);
+    let outcome = execute_line(shared, request);
     let service = service_start.elapsed();
     obs::histogram!("serve_service_ns").record_duration_traced(service);
     record.service_ns = Some(service.as_nanos() as u64);
     // The request started in time but may have *finished* late: answer it
     // anyway (the work is done), but mark and count it so the
     // deadline_expired report stays truthful.
-    let late = job
-        .deadline
-        .is_some_and(|deadline| job.accepted.elapsed() > deadline);
+    let late = deadline.is_some_and(|deadline| accepted.elapsed() > deadline);
     if late {
         shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
         obs::counter!("serve_deadline_expired_total").inc();
@@ -608,7 +604,7 @@ fn process(shared: &Shared, job: &Job) -> String {
         extra.push(("deadline_exceeded", Json::Bool(true)));
     }
     if client_traced {
-        extra.push(proto::trace_extra(&job.trace));
+        extra.push(proto::trace_extra(&trace));
     }
     match outcome {
         Ok(LineOutcome {
@@ -624,7 +620,7 @@ fn process(shared: &Shared, job: &Job) -> String {
             record.outcome = origin.as_str();
             record.session_key = session_key;
             shared.audit(&record);
-            proto::ok_response_with(id, job.request.op.name(), data, extra)
+            proto::ok_response_with(id, request.op.name(), data, extra)
         }
         Err(e) => {
             shared.request_errors.fetch_add(1, Ordering::Relaxed);
@@ -667,10 +663,10 @@ fn execute_line(shared: &Shared, request: &Request) -> Result<LineOutcome, Proto
         return process_batch(shared, cfg, items, request);
     }
     let Some(cfg) = proto::op_config(&request.op) else {
-        // Control ops never reach the queue (see handle_connection).
+        // Control ops are answered before the gate (see dispatch).
         return Err(ProtoError {
             class: "internal",
-            message: "control op routed to worker pool".to_string(),
+            message: "control op routed past the admission gate".to_string(),
         });
     };
     let key = session_key(cfg).map_err(|e| ProtoError::from_flow(&e))?;
@@ -706,16 +702,16 @@ fn execute_line(shared: &Shared, request: &Request) -> Result<LineOutcome, Proto
 }
 
 /// Executes a `batch`: answer store-warm items from disk, acquire ONE
-/// session for the rest, fan them across the worker pool, and help drain
-/// items while waiting so saturated pools still make progress.
+/// session for the rest, and run those items one by one over it on the
+/// caller's thread, under the batch's one permit.
 fn process_batch(
     shared: &Shared,
     cfg: &FlowConfig,
     items: &[Op],
     request: &Request,
 ) -> Result<LineOutcome, ProtoError> {
-    // The envelope's trace context (installed by `process`) rides along
-    // into every fanned-out item.
+    // The envelope's trace context (installed by `process`) covers every
+    // item's span and exemplars; the audit records carry its id too.
     let trace = obs::trace::current().unwrap_or_default();
     let key = session_key(cfg).map_err(|e| ProtoError::from_flow(&e))?;
     let hashes: Vec<u64> = items.iter().map(proto::op_hash).collect();
@@ -754,52 +750,35 @@ fn process_batch(
         } else {
             Origin::Cold
         };
-        let state = Arc::new(BatchState {
-            session,
-            ops: items.to_vec(),
-            results: Mutex::new({
-                let mut v: Vec<Option<Result<Json, ProtoError>>> = Vec::new();
-                v.resize_with(items.len(), || None);
-                v
-            }),
-            remaining: AtomicUsize::new(misses.len()),
-            trace,
-            request_id: request.id.clone(),
-            session_origin: origin.as_str(),
-            session_key: key,
-        });
-        {
-            let mut queue = shared.queue.lock().expect("queue lock");
-            for &i in &misses {
-                queue.push_back(Work::Item(BatchItem {
-                    state: state.clone(),
-                    index: i,
-                }));
-            }
-            shared
-                .max_queued
-                .fetch_max(queue.len() as u64, Ordering::Relaxed);
-        }
-        shared.queue_cv.notify_all();
-        // Help drain: run ANY queued batch item (ours or another
-        // batch's). Parents never pop whole request lines, so this
-        // cannot recurse or deadlock.
-        while state.remaining.load(Ordering::SeqCst) > 0 {
-            if let Some(item) = take_item(shared) {
-                run_batch_item(shared, &item);
-            } else {
-                let queue = shared.queue.lock().expect("queue lock");
-                drop(
-                    shared
-                        .queue_cv
-                        .wait_timeout(queue, POLL)
-                        .expect("queue lock"),
-                );
-            }
-        }
-        let mut computed = state.results.lock().expect("batch results lock");
-        for &i in &misses {
-            let result = computed[i].take().expect("worker recorded every item");
+        let computed: Vec<Result<Json, ProtoError>> = misses
+            .iter()
+            .map(|&i| {
+                let _span = obs::span!("serve.batch_item");
+                let start = Instant::now();
+                // A panicking item gets its own `internal` answer; its
+                // siblings are still run and answered.
+                let result = answer_or_internal(|| proto::execute(&session, &items[i]));
+                let service = start.elapsed();
+                obs::histogram!("serve_service_ns").record_duration_traced(service);
+                shared.audit(&AccessRecord {
+                    trace_id: trace.trace_id,
+                    id: request.id.clone(),
+                    op: items[i].name(),
+                    outcome: if result.is_ok() {
+                        origin.as_str()
+                    } else {
+                        "error"
+                    },
+                    session_key: Some(key),
+                    queue_wait_ns: None,
+                    service_ns: Some(service.as_nanos() as u64),
+                    deadline_exceeded: false,
+                    batch_index: Some(i),
+                });
+                result
+            })
+            .collect();
+        for (&i, result) in misses.iter().zip(computed) {
             if let (Some(store), Ok(data)) = (&shared.store, &result) {
                 store.save(key, hashes[i], data);
             }
@@ -845,48 +824,6 @@ fn process_batch(
         origin,
         session_key: Some(key),
     })
-}
-
-/// Pops the first queued batch *item*, skipping whole request lines.
-fn take_item(shared: &Shared) -> Option<BatchItem> {
-    let mut queue = shared.queue.lock().expect("queue lock");
-    let pos = queue.iter().position(|w| matches!(w, Work::Item(_)))?;
-    match queue.remove(pos) {
-        Some(Work::Item(item)) => Some(item),
-        _ => unreachable!("position() found an item at this index"),
-    }
-}
-
-fn run_batch_item(shared: &Shared, item: &BatchItem) {
-    // Items run on arbitrary workers (or helping parents): re-install the
-    // envelope's trace so the span and exemplars carry the same id across
-    // the fan-out.
-    let _trace = obs::trace::enter(item.state.trace);
-    let _span = obs::span!("serve.batch_item");
-    let op = &item.state.ops[item.index];
-    let start = Instant::now();
-    let result = proto::execute(&item.state.session, op);
-    let service = start.elapsed();
-    obs::histogram!("serve_service_ns").record_duration_traced(service);
-    shared.audit(&AccessRecord {
-        trace_id: item.state.trace.trace_id,
-        id: item.state.request_id.clone(),
-        op: op.name(),
-        outcome: if result.is_ok() {
-            item.state.session_origin
-        } else {
-            "error"
-        },
-        session_key: Some(item.state.session_key),
-        queue_wait_ns: None,
-        service_ns: Some(service.as_nanos() as u64),
-        deadline_exceeded: false,
-        batch_index: Some(item.index),
-    });
-    item.state.results.lock().expect("batch results lock")[item.index] = Some(result);
-    item.state.remaining.fetch_sub(1, Ordering::SeqCst);
-    // Wake the parent (and anyone waiting on the queue) promptly.
-    shared.queue_cv.notify_all();
 }
 
 fn handle_connection(stream: TcpStream, shared: &Shared) {
@@ -1042,7 +979,7 @@ fn route_response(
 
 /// Rejects an analysis request whose session another fleet member owns.
 /// Returns the pre-built error response, or `None` when the request is
-/// local (or the key cannot be resolved here — the worker will produce
+/// local (or the key cannot be resolved here — `process` will produce
 /// the proper typed error instead).
 fn wrong_shard_rejection(
     shared: &Shared,
@@ -1089,6 +1026,19 @@ fn wrong_shard_rejection(
     ))
 }
 
+/// The typed error a request or batch item gets when it panics.
+fn panicked() -> ProtoError {
+    ProtoError {
+        class: "internal",
+        message: "request panicked before it was answered".to_string(),
+    }
+}
+
+/// Runs `f`, turning a panic inside it into the `internal` error.
+fn answer_or_internal<T>(f: impl FnOnce() -> Result<T, ProtoError>) -> Result<T, ProtoError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|_| Err(panicked()))
+}
+
 fn dispatch(line: &str, shared: &Shared) -> String {
     let request = match proto::parse_request(line) {
         Ok(r) => r,
@@ -1107,8 +1057,8 @@ fn dispatch(line: &str, shared: &Shared) -> String {
     obs::counter!("serve_requests_total").inc();
     let id = request.id.clone();
     match &request.op {
-        // Control ops answer inline: they must stay responsive while the
-        // worker pool is saturated with long optimizations.
+        // Control ops skip the gate: they must stay responsive while every
+        // permit is held by a long optimization.
         Op::Ping => proto::ok_response(&id, "ping", Json::obj(vec![("pong", Json::Bool(true))])),
         Op::Stats => proto::ok_response(&id, "stats", shared.stats_json()),
         Op::Metrics => proto::ok_response(
@@ -1162,66 +1112,63 @@ fn dispatch(line: &str, shared: &Shared) -> String {
                 .deadline_ms
                 .map(Duration::from_millis)
                 .or(shared.default_deadline);
-            let (tx, rx) = mpsc::channel();
-            {
-                let mut queue = shared.queue.lock().expect("queue lock");
-                // A batch occupies one slot: the items it fans out do not
-                // count toward the high-water mark.
-                let lines = queue.iter().filter(|w| matches!(w, Work::Line(_))).count();
-                if lines >= shared.queue_depth {
-                    shared.busy_rejected.fetch_add(1, Ordering::Relaxed);
-                    obs::counter!("serve_busy_rejected_total").inc();
-                    shared.audit(&AccessRecord {
-                        trace_id: trace.trace_id,
-                        id: id.clone(),
-                        op: request.op.name(),
-                        outcome: "busy",
-                        session_key: None,
-                        queue_wait_ns: None,
-                        service_ns: None,
-                        deadline_exceeded: false,
-                        batch_index: None,
-                    });
-                    let mut extra: Vec<(&str, Json)> = Vec::new();
-                    if client_traced {
-                        extra.push(proto::trace_extra(&trace));
-                    }
-                    return proto::err_response_with(
-                        &id,
-                        &ProtoError {
-                            class: "busy",
-                            message: format!(
-                                "queue at high-water mark ({} requests); retry later",
-                                shared.queue_depth
-                            ),
-                        },
-                        extra,
-                    );
+            let accepted = Instant::now();
+            let Some(_permit) = shared.admission.admit() else {
+                shared.busy_rejected.fetch_add(1, Ordering::Relaxed);
+                obs::counter!("serve_busy_rejected_total").inc();
+                shared.audit(&AccessRecord {
+                    trace_id: trace.trace_id,
+                    id: id.clone(),
+                    op: request.op.name(),
+                    outcome: "busy",
+                    session_key: None,
+                    queue_wait_ns: None,
+                    service_ns: None,
+                    deadline_exceeded: false,
+                    batch_index: None,
+                });
+                let mut extra: Vec<(&str, Json)> = Vec::new();
+                if client_traced {
+                    extra.push(proto::trace_extra(&trace));
                 }
-                queue.push_back(Work::Line(Box::new(Job {
-                    request,
-                    trace,
-                    accepted: Instant::now(),
-                    deadline,
-                    reply: tx,
-                })));
-                shared
-                    .max_queued
-                    .fetch_max(queue.len() as u64, Ordering::Relaxed);
-            }
-            shared.queue_cv.notify_one();
-            // Block until a worker answers; the worker pool always drains
-            // the queue (even during shutdown), so this terminates.
-            match rx.recv() {
-                Ok(response) => response,
-                Err(_) => proto::err_response(
+                return proto::err_response_with(
                     &id,
                     &ProtoError {
-                        class: "internal",
-                        message: "worker dropped the request".to_string(),
+                        class: "busy",
+                        message: format!(
+                            "queue at high-water mark ({} requests); retry later",
+                            shared.admission.queue_depth
+                        ),
                     },
-                ),
-            }
+                    extra,
+                );
+            };
+            // The permit is released when `_permit` drops, unwinding
+            // included; the client still gets a typed answer, counted and
+            // audited like any other failed request.
+            catch_unwind(AssertUnwindSafe(|| {
+                process(shared, &request, trace, accepted, deadline)
+            }))
+            .unwrap_or_else(|_| {
+                shared.request_errors.fetch_add(1, Ordering::Relaxed);
+                obs::counter!("serve_request_errors_total").inc();
+                shared.audit(&AccessRecord {
+                    trace_id: trace.trace_id,
+                    id: id.clone(),
+                    op: request.op.name(),
+                    outcome: "error",
+                    session_key: None,
+                    queue_wait_ns: None,
+                    service_ns: None,
+                    deadline_exceeded: false,
+                    batch_index: None,
+                });
+                let mut extra: Vec<(&str, Json)> = Vec::new();
+                if client_traced {
+                    extra.push(proto::trace_extra(&trace));
+                }
+                proto::err_response_with(&id, &panicked(), extra)
+            })
         }
     }
 }
@@ -1367,8 +1314,8 @@ mod tests {
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.run().expect("run"));
 
-        // Occupy the single worker, then trail a request whose deadline
-        // has certainly passed by the time the worker frees up.
+        // Take the single permit, then trail a request whose deadline has
+        // certainly passed by the time the permit frees up.
         let busy_conn = std::thread::spawn(move || {
             request(
                 addr,
@@ -1403,8 +1350,8 @@ mod tests {
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.run().expect("run"));
 
-        // The deadline is alive at dequeue (nothing is queued ahead; 250 ms
-        // leaves room for a loaded host's queue wait) but certainly expired
+        // The deadline is alive at admission (nothing waits ahead; 250 ms
+        // leaves room for a loaded host's wait) but certainly expired
         // once the job finishes: the response must arrive, marked. A cold
         // c1908 ablation is dominated by the single-threaded
         // `size_for_yield`, so more cores do not shorten it: measured on a
@@ -1436,8 +1383,8 @@ mod tests {
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.run().expect("run"));
 
-        // The lone worker runs the batch and then its first item (a cold
-        // c880 comparison); the second item waits in the queue meanwhile.
+        // The batch takes the only permit, then acquires its (cold c880)
+        // session; its two items run under that one permit.
         let batch = std::thread::spawn(move || {
             request(
                 addr,
@@ -1445,14 +1392,15 @@ mod tests {
             )
         });
         let start = Instant::now();
-        while request(addr, r#"{"op":"stats"}"#).contains(r#""queued":0"#) {
+        while !request(addr, r#"{"op":"stats"}"#).contains(r#""misses":1"#) {
             assert!(
                 start.elapsed() < Duration::from_secs(60),
-                "items never queued"
+                "batch never acquired its session"
             );
             std::thread::sleep(Duration::from_millis(2));
         }
-        // One queued item is not one queued line: this request is admitted.
+        // The batch's items are not waiters: this line takes the one
+        // waiting slot and is admitted once the batch finishes.
         let line = request(
             addr,
             r#"{"id":"l","op":"comparison","benchmark":"c17","mc_samples":0}"#,
@@ -1460,10 +1408,159 @@ mod tests {
         assert!(line.contains(r#""ok":true"#), "{line}");
         let batch = batch.join().expect("batch client");
         assert!(batch.contains(r#""ok":true"#), "{batch}");
+        let stats = Json::parse(&request(addr, r#"{"op":"stats"}"#)).expect("stats json");
+        let server_stats = stats.get("data").and_then(|d| d.get("server"));
+        let field = |name: &str| {
+            server_stats
+                .and_then(|s| s.get(name))
+                .and_then(Json::as_f64)
+                .expect("server stats field")
+        };
+        assert!(field("max_queued") <= field("queue_depth"), "{stats:?}");
 
         request(addr, r#"{"op":"shutdown"}"#);
         let report = handle.join().expect("server thread");
         assert_eq!(report.busy_rejected, 0);
+        SHUTDOWN.store(false, Ordering::SeqCst);
+    }
+
+    /// Holds `gate`'s permits on `n` threads that queue one at a time, so
+    /// their arrival order is their index; each logs its index when it is
+    /// admitted and then releases.
+    fn queue_waiters(
+        gate: &Arc<Admission>,
+        n: usize,
+        admitted: &Arc<Mutex<Vec<usize>>>,
+    ) -> Vec<std::thread::JoinHandle<()>> {
+        (0..n)
+            .map(|i| {
+                let before = gate.waiting();
+                let (mine, admitted) = (Arc::clone(gate), Arc::clone(admitted));
+                let waiter = std::thread::spawn(move || {
+                    let _permit = mine.admit().expect("a waiting slot");
+                    admitted.lock().expect("log lock").push(i);
+                });
+                let start = Instant::now();
+                while gate.waiting() == before {
+                    assert!(start.elapsed() < Duration::from_secs(10), "never queued");
+                    std::thread::yield_now();
+                }
+                waiter
+            })
+            .collect()
+    }
+
+    #[test]
+    fn gate_admits_waiters_in_arrival_order() {
+        let gate = Arc::new(Admission::new(1, 8));
+        let admitted = Arc::new(Mutex::new(Vec::new()));
+        let holder = gate.admit().expect("an idle gate admits at once");
+        let waiters = queue_waiters(&gate, 3, &admitted);
+        assert_eq!(gate.waiting(), 3);
+        drop(holder);
+        for waiter in waiters {
+            waiter.join().expect("waiter");
+        }
+        assert_eq!(*admitted.lock().expect("log lock"), vec![0, 1, 2]);
+        assert_eq!((gate.waiting(), gate.max_waiting()), (0, 3));
+    }
+
+    #[test]
+    fn gate_sheds_busy_once_queue_depth_requests_wait() {
+        let gate = Arc::new(Admission::new(1, 2));
+        let admitted = Arc::new(Mutex::new(Vec::new()));
+        let holder = gate.admit().expect("an idle gate admits at once");
+        let waiters = queue_waiters(&gate, 2, &admitted);
+        assert_eq!(gate.waiting(), 2);
+        assert!(gate.admit().is_none(), "waiting == queue_depth sheds");
+        drop(holder);
+        for waiter in waiters {
+            waiter.join().expect("waiter");
+        }
+        assert_eq!(gate.max_waiting(), 2);
+        assert!(gate.admit().is_some(), "a drained gate admits again");
+    }
+
+    #[test]
+    fn gate_releases_a_permit_when_its_request_panics() {
+        let gate = Admission::new(1, 1);
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let _permit = gate.admit().expect("an idle gate admits at once");
+            panic!("request failed mid-flight");
+        }));
+        assert!(outcome.is_err());
+        assert_eq!(gate.lock().running, 0);
+        assert!(gate.admit().is_some(), "the slot came back");
+    }
+
+    #[test]
+    fn a_panicking_batch_item_gets_its_own_internal_answer() {
+        let item: Result<Json, ProtoError> = answer_or_internal(|| panic!("item failed"));
+        let e = item.expect_err("a panic is an error");
+        assert_eq!(e.class, "internal");
+        let sibling = answer_or_internal(|| Ok(Json::Bool(true)));
+        assert_eq!(sibling.expect("siblings are unaffected"), Json::Bool(true));
+    }
+
+    #[test]
+    fn batch_under_one_worker_never_runs_two_items_at_once() {
+        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            queue_depth: 4,
+            ..Default::default()
+        };
+        let server = Server::bind(&config, &SHUTDOWN).expect("bind");
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run().expect("run"));
+
+        // Only spans carrying this batch's trace id are inspected, so other
+        // tests recording concurrently cannot disturb the check.
+        let trace_hex = "000000000000000000000000ba7c0001";
+        let trace_id = obs::TraceId::parse(trace_hex).expect("trace id").0;
+        obs::install(&[obs::SinkSpec::InMemory]).expect("install sink");
+        let batch = request(
+            addr,
+            &format!(
+                r#"{{"id":"b","op":"batch","benchmark":"c17","mc_samples":0,"trace":{{"trace_id":"{trace_hex}"}},"items":[{{"op":"comparison"}},{{"op":"ablation"}},{{"op":"distribution","bins":8}},{{"op":"sweep","axis":"slack_factor","values":[1.2,1.4]}}]}}"#
+            ),
+        );
+        let records = obs::take_memory();
+        obs::install(&[obs::SinkSpec::Disabled]).expect("restore sink");
+        assert!(batch.contains(r#""item_errors":0"#), "{batch}");
+
+        let spans = |name: &str| -> Vec<obs::SpanRecord> {
+            records
+                .iter()
+                .filter_map(|r| match r {
+                    obs::Record::Span(s) if s.trace == trace_id && s.name == name => {
+                        Some(s.clone())
+                    }
+                    _ => None,
+                })
+                .collect()
+        };
+        let process = spans("serve.process");
+        let mut items = spans("serve.batch_item");
+        assert_eq!(process.len(), 1, "{process:?}");
+        assert_eq!(items.len(), 4, "{items:?}");
+        // Every item runs on the thread that holds the batch's permit...
+        assert!(
+            items.iter().all(|s| s.thread == process[0].thread),
+            "{items:?}"
+        );
+        // ...and each finishes before the next starts.
+        items.sort_by(|a, b| a.start_us.total_cmp(&b.start_us));
+        for pair in items.windows(2) {
+            assert!(
+                pair[0].start_us + pair[0].dur_us <= pair[1].start_us,
+                "{pair:?}"
+            );
+        }
+
+        request(addr, r#"{"op":"shutdown"}"#);
+        handle.join().expect("server thread");
         SHUTDOWN.store(false, Ordering::SeqCst);
     }
 

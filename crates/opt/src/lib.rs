@@ -10,8 +10,8 @@
 //!    STA slack (à la Wei/Roy and Pant et al.), optionally guard-banded;
 //! 3. [`StatisticalOptimizer`] — the paper's contribution: the same move
 //!    set validated against a **timing-yield** constraint from SSTA, with
-//!    the objective being a statistical leakage measure (95th percentile
-//!    or mean of the full-chip lognormal).
+//!    the objective being the 95th percentile of the full-chip leakage
+//!    lognormal.
 //!
 //! Both optimizers use incremental cone updates with undo, so a candidate
 //! move costs time proportional to its fanout cone.
@@ -39,18 +39,16 @@
 #![warn(missing_docs)]
 
 mod deterministic;
-pub mod lr_sizing;
 pub mod sizing;
 mod statistical;
 
 pub use deterministic::{
     deterministic_for_yield, DetReport, DetYieldOutcome, DeterministicOptimizer,
 };
-pub use lr_sizing::{size_lagrangian, LrConfig, LrReport};
 pub use sizing::SizeError;
 pub use statistical::{
-    statistical_flow, statistical_for_yield, Objective, StatReport, StatYieldOutcome,
-    StatisticalOptimizer, TracePoint,
+    statistical_flow, statistical_for_yield, StatReport, StatYieldOutcome, StatisticalOptimizer,
+    TracePoint,
 };
 
 use rayon::prelude::*;

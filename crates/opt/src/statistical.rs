@@ -6,9 +6,9 @@
 //! * **feasibility** is a parametric timing-yield constraint
 //!   `P(D ≤ T_clk) ≥ η` evaluated by incremental SSTA, instead of a
 //!   nominal slack test;
-//! * the **objective** is a statistical measure of the full-chip leakage
-//!   lognormal — the 95th percentile by default — maintained incrementally
-//!   by [`statleak_leakage::LeakageAnalysis`].
+//! * the **objective** is the 95th percentile of the full-chip leakage
+//!   lognormal, maintained incrementally by
+//!   [`statleak_leakage::LeakageAnalysis`].
 //!
 //! Because timing is treated as a distribution, the optimizer can spend
 //! *statistical* slack that the deterministic corner view cannot see
@@ -28,27 +28,10 @@ use statleak_tech::{Design, FactorModel, VthClass};
 /// (when tracing is enabled).
 const TRAJECTORY_EVERY: usize = 64;
 
-/// The statistical leakage objective to minimize.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum Objective {
-    /// Minimize the 95th percentile of total leakage (the paper's choice:
-    /// protects the sellable-parts leakage spec).
-    #[default]
-    P95,
-    /// Minimize the mean of total leakage.
-    Mean,
-    /// Minimize an arbitrary quantile of total leakage (e.g. `0.99` for a
-    /// stricter leakage spec). Must lie strictly inside `(0, 1)`.
-    Quantile(f64),
-    /// Minimize p95 leakage **plus** dynamic switching power for the given
-    /// average activity factor and clock frequency (GHz). Makes the
-    /// downsizing pass weigh switched capacitance, not just leakage.
-    TotalPower {
-        /// Average switching activity factor.
-        activity: f64,
-        /// Clock frequency in GHz.
-        f_ghz: f64,
-    },
+/// The objective: the 95th percentile of total leakage power (W), the
+/// paper's choice because it protects the sellable-parts leakage spec.
+fn objective_value(design: &Design, leak: &LeakageAnalysis) -> f64 {
+    leak.total_power(design).quantile(0.95)
 }
 
 /// One point of the optimizer convergence trace (figure F5).
@@ -70,8 +53,6 @@ pub struct StatisticalOptimizer {
     /// Timing-yield floor `η`: every accepted move keeps
     /// `P(D ≤ t_clk) ≥ η`.
     pub yield_target: f64,
-    /// Objective to minimize.
-    pub objective: Objective,
     /// Maximum improvement passes.
     pub max_passes: usize,
     /// The Vth ladder, ascending: each pass tries to promote every gate to
@@ -109,7 +90,6 @@ impl StatisticalOptimizer {
         Self {
             t_clk,
             yield_target: 0.99,
-            objective: Objective::P95,
             max_passes: 8,
             vth_levels: vec![VthClass::Low, VthClass::High],
         }
@@ -139,24 +119,6 @@ impl StatisticalOptimizer {
         self
     }
 
-    /// Sets the objective.
-    pub fn with_objective(mut self, objective: Objective) -> Self {
-        self.objective = objective;
-        self
-    }
-
-    fn objective_value(&self, design: &Design, leak: &LeakageAnalysis) -> f64 {
-        let power = leak.total_power(design);
-        match self.objective {
-            Objective::P95 => power.quantile(0.95),
-            Objective::Mean => power.mean(),
-            Objective::Quantile(p) => power.quantile(p),
-            Objective::TotalPower { activity, f_ghz } => {
-                power.quantile(0.95) + design.dynamic_power(activity, f_ghz)
-            }
-        }
-    }
-
     /// Runs the optimization, mutating the design in place.
     ///
     /// The effective yield floor is `min(yield_target, initial_yield)`:
@@ -171,7 +133,7 @@ impl StatisticalOptimizer {
 
         let initial_yield = ssta.timing_yield(self.t_clk);
         let floor = self.yield_target.min(initial_yield) - 1e-12;
-        let initial_objective = self.objective_value(design, &leak);
+        let initial_objective = objective_value(design, &leak);
 
         let mut trace = vec![TracePoint {
             accepted_moves: 0,
@@ -250,7 +212,7 @@ impl StatisticalOptimizer {
                         vth_swaps += 1;
                         trace.push(TracePoint {
                             accepted_moves: accepted_total,
-                            objective: self.objective_value(design, &leak),
+                            objective: objective_value(design, &leak),
                             timing_yield: ssta.timing_yield(self.t_clk),
                         });
                         trajectory(&trace, accepted_total);
@@ -285,7 +247,7 @@ impl StatisticalOptimizer {
                     downsized += 1;
                     trace.push(TracePoint {
                         accepted_moves: accepted_total,
-                        objective: self.objective_value(design, &leak),
+                        objective: objective_value(design, &leak),
                         timing_yield: ssta.timing_yield(self.t_clk),
                     });
                     trajectory(&trace, accepted_total);
@@ -309,7 +271,7 @@ impl StatisticalOptimizer {
 
         StatReport {
             initial_objective,
-            final_objective: self.objective_value(design, &leak),
+            final_objective: objective_value(design, &leak),
             final_mean_leakage: leak.total_power(design).mean(),
             initial_yield,
             final_yield: ssta.timing_yield(self.t_clk),
@@ -357,7 +319,7 @@ pub fn statistical_for_yield(
 }
 
 /// Like [`statistical_for_yield`], but with a caller-configured optimizer
-/// prototype (objective, Vth ladder, pass budget). The prototype's
+/// prototype (Vth ladder, pass budget). The prototype's
 /// `t_clk` and `yield_target` define the constraint.
 ///
 /// # Errors
@@ -466,53 +428,6 @@ mod tests {
                 "objective must never increase"
             );
         }
-    }
-
-    #[test]
-    fn quantile_objective_orders_with_strictness() {
-        // A stricter quantile objective reports a larger number but still
-        // optimizes successfully.
-        let (d0, fm, t) = setup("c432", 1.15);
-        let mut d99 = d0.clone();
-        let r99 = StatisticalOptimizer::new(t)
-            .with_objective(Objective::Quantile(0.99))
-            .optimize(&mut d99, &fm);
-        assert!(r99.final_objective < r99.initial_objective);
-        let mut d50 = d0.clone();
-        let r50 = StatisticalOptimizer::new(t)
-            .with_objective(Objective::Quantile(0.50))
-            .optimize(&mut d50, &fm);
-        assert!(r99.final_objective > r50.final_objective);
-    }
-
-    #[test]
-    fn total_power_objective_includes_dynamic() {
-        let (d0, fm, t) = setup("c432", 1.15);
-        let mut d = d0.clone();
-        let obj = Objective::TotalPower {
-            activity: 0.1,
-            f_ghz: 1.0,
-        };
-        let r = StatisticalOptimizer::new(t)
-            .with_objective(obj)
-            .optimize(&mut d, &fm);
-        assert!(r.final_objective < r.initial_objective);
-        // The objective includes the dynamic component.
-        let leak_p95 = statleak_leakage::LeakageAnalysis::analyze(&d, &fm)
-            .total_power(&d)
-            .quantile(0.95);
-        let dynamic = d.dynamic_power(0.1, 1.0);
-        assert!((r.final_objective - (leak_p95 + dynamic)).abs() / r.final_objective < 1e-9);
-        assert!(dynamic > 0.0);
-    }
-
-    #[test]
-    fn mean_objective_also_works() {
-        let (mut d, fm, t) = setup("c432", 1.15);
-        let r = StatisticalOptimizer::new(t)
-            .with_objective(Objective::Mean)
-            .optimize(&mut d, &fm);
-        assert!(r.final_objective < r.initial_objective);
     }
 
     #[test]

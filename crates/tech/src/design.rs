@@ -277,17 +277,6 @@ impl Design {
             .filter(|&g| self.vth[g.index()] == class)
             .count()
     }
-
-    /// Dynamic switching power (W) for an average activity factor and clock
-    /// frequency in GHz: `0.5 · a · C_total · Vdd² · f`.
-    pub fn dynamic_power(&self, activity: f64, f_ghz: f64) -> f64 {
-        let c_total_ff: f64 = self
-            .circuit
-            .gates()
-            .map(|g| self.tech.c_par * self.sizes[g.index()] + self.load_cap(g))
-            .sum();
-        0.5 * activity * (c_total_ff * 1e-15) * self.tech.vdd * self.tech.vdd * (f_ghz * 1e9)
-    }
 }
 
 #[cfg(test)]
@@ -344,15 +333,6 @@ mod tests {
         let g = d.circuit().gates().next().unwrap();
         d.set_size(g, 3.0);
         assert!((d.total_width() - 8.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn dynamic_power_positive_and_scales_with_activity() {
-        let d = design();
-        let p1 = d.dynamic_power(0.1, 1.0);
-        let p2 = d.dynamic_power(0.2, 1.0);
-        assert!(p1 > 0.0);
-        assert!((p2 / p1 - 2.0).abs() < 1e-9);
     }
 
     #[test]

@@ -74,7 +74,7 @@
 // below (`install_shutdown_handler`), confined to this binary so every
 // library crate keeps `#![forbid(unsafe_code)]`.
 
-use statleak::core::LibrarySpec;
+use statleak::core::{flows::mc_check, LibrarySpec};
 use statleak::engine::{Json, ServeConfig, Server};
 use statleak::error::StatleakError;
 use statleak::leakage::LeakageAnalysis;
@@ -124,6 +124,15 @@ macro_rules! outln {
     };
 }
 
+/// `eprintln!` that cannot panic: stderr carries progress notes and the
+/// final error line, and a closed stderr just loses them.
+macro_rules! note {
+    ($($arg:tt)*) => {{
+        use std::io::Write;
+        let _ = writeln!(std::io::stderr(), $($arg)*);
+    }};
+}
+
 fn main() -> ExitCode {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let result = setup_observability(&mut args).and_then(|trace| run(&args, trace.as_deref()));
@@ -139,7 +148,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         Err(e) => {
-            eprintln!("statleak: {} error: {e}", e.class());
+            note!("statleak: {} error: {e}", e.class());
             ExitCode::from(e.exit_code())
         }
     }
@@ -535,10 +544,10 @@ fn cmd_optimize(args: &[String]) -> Result<(), StatleakError> {
     let library = parse_library_flag(&flags)?;
     let (base, fm) = build_context(load_circuit(&flags)?, &library)?;
 
-    eprintln!("estimating minimum delay...");
+    note!("estimating minimum delay...");
     let dmin = sizing::min_delay_estimate(&base);
     let t_clk = dmin * slack;
-    eprintln!("Dmin = {dmin:.1} ps, clock target = {t_clk:.1} ps, yield target = {eta}");
+    note!("Dmin = {dmin:.1} ps, clock target = {t_clk:.1} ps, yield target = {eta}");
 
     let mut proto = StatisticalOptimizer::new(t_clk).with_yield_target(eta);
     if flags.contains_key("--triple-vth") {
@@ -563,22 +572,7 @@ fn cmd_optimize(args: &[String]) -> Result<(), StatleakError> {
     // Monte-Carlo confirmation (skipped with --mc-samples 0).
     if mc_config.samples > 0 {
         let scheme = mc_config.scheme();
-        let engine = MonteCarlo::new(mc_config);
-        let est = engine.timing_yield_estimate(&out.design, &fm, t_clk);
-        // The leakage percentile always comes from an unshifted
-        // population run, whatever the yield estimator.
-        let population = if scheme.variance_reduction.importance_sampling {
-            MonteCarlo::new(McConfig {
-                variance_reduction: statleak::mc::VarianceReduction {
-                    importance_sampling: false,
-                    ..engine.config().variance_reduction
-                },
-                ..engine.config().clone()
-            })
-            .run(&out.design, &fm)
-        } else {
-            engine.run(&out.design, &fm)
-        };
+        let (est, population) = mc_check(&out.design, &fm, t_clk, mc_config);
         outln!(
             "MC check ({scheme}): yield {:.4} 95% CI [{:.4}, {:.4}], p95 leakage {:.3} uW",
             est.yield_value,
@@ -590,11 +584,11 @@ fn cmd_optimize(args: &[String]) -> Result<(), StatleakError> {
 
     if let Some(path) = flags.get("--out-verilog") {
         write_file(path, verilog::write(out.design.circuit()))?;
-        eprintln!("wrote {path}");
+        note!("wrote {path}");
     }
     if let Some(path) = flags.get("--out-bench") {
         write_file(path, bench::write(out.design.circuit()))?;
-        eprintln!("wrote {path}");
+        note!("wrote {path}");
     }
     Ok(())
 }
@@ -605,7 +599,7 @@ fn cmd_export_lib(args: &[String]) -> Result<(), StatleakError> {
     match flags.get("--out") {
         Some(path) => {
             write_file(path, text)?;
-            eprintln!("wrote {path}");
+            note!("wrote {path}");
         }
         None => out!("{text}")?,
     }
@@ -741,7 +735,7 @@ fn cmd_serve(args: &[String]) -> Result<(), StatleakError> {
         path: config.addr.clone(),
         source: e,
     })?;
-    eprintln!(
+    note!(
         "drained: {} served, {} errors, {} busy-rejected, {} past deadline, \
          {} malformed, {} wrong-shard, {} connections",
         report.served,
@@ -801,7 +795,7 @@ fn cmd_call(args: &[String]) -> Result<(), StatleakError> {
                 "trace".to_string(),
                 Json::obj(vec![("trace_id", Json::str(id.to_hex()))]),
             ));
-            eprintln!("trace {}", id.to_hex());
+            note!("trace {}", id.to_hex());
             Json::Obj(pairs).to_string()
         }
     };
@@ -1182,7 +1176,7 @@ fn cmd_trace(args: &[String], trace_file: Option<&str>) -> Result<(), StatleakEr
     // benchmark names) and run the full comparison single-threaded: the
     // rayon shim runs 1-thread parallel calls inline, which keeps every
     // span on one thread with exact parent links for self-time accounting.
-    eprintln!("tracing comparison flow on {name}...");
+    note!("tracing comparison flow on {name}...");
     let outcome = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
@@ -1250,7 +1244,7 @@ fn cmd_trace(args: &[String], trace_file: Option<&str>) -> Result<(), StatleakEr
         )?;
     }
     if let Some(path) = trace_file {
-        eprintln!("wrote {} trace records to {path}", records.len());
+        note!("wrote {} trace records to {path}", records.len());
     }
     Ok(())
 }

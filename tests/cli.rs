@@ -203,18 +203,28 @@ fn help_flag_succeeds_anywhere() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("statleak <command>"));
 }
 
-/// A reader that goes away before the output arrives (`statleak … | head`)
-/// ends the command quietly with exit 0, never with a panic.
+/// A reader that goes away before the output arrives (`statleak … | head`),
+/// on stdout or on stderr, ends the command quietly with exit 0, never
+/// with a panic.
 #[test]
 fn closed_stdout_exits_quietly() {
-    for args in [&["benchmarks"][..], &["analyze", "--input", "c432"]] {
+    // (arguments, whether the closed pipe is stderr rather than stdout)
+    let cases: [(&[&str], bool); 3] = [
+        (&["benchmarks"], false),
+        (&["analyze", "--input", "c432"], false),
+        (&["optimize", "--input", "c17", "--mc-samples", "0"], true),
+    ];
+    for (args, on_stderr) in cases {
         let (reader, writer) = std::io::pipe().expect("pipe");
         drop(reader);
-        let out = Command::new(env!("CARGO_BIN_EXE_statleak"))
-            .args(args)
-            .stdout(writer)
-            .output()
-            .expect("binary runs");
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_statleak"));
+        cmd.args(args);
+        if on_stderr {
+            cmd.stderr(writer);
+        } else {
+            cmd.stdout(writer);
+        }
+        let out = cmd.output().expect("binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(out.status.success(), "{args:?}: {} {stderr}", out.status);
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");

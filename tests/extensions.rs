@@ -6,7 +6,7 @@ use statleak::core::report::timing_report;
 use statleak::leakage::LeakageAnalysis;
 use statleak::mc::{AbbConfig, McConfig, MonteCarlo};
 use statleak::netlist::{benchmarks, placement::Placement, verilog};
-use statleak::opt::{size_lagrangian, sizing, statistical_flow, LrConfig, StatisticalOptimizer};
+use statleak::opt::{sizing, statistical_flow, StatisticalOptimizer};
 use statleak::ssta::Ssta;
 use statleak::sta::{SlewSta, Sta};
 use statleak::tech::{
@@ -76,19 +76,6 @@ fn wire_loads_flow_through_all_analyses() {
     assert!(loaded > blind_delay * 1.5);
     assert!(SlewSta::analyze(&d).circuit_delay() > loaded);
     assert!(Ssta::analyze(&d, &fm).circuit_delay().mean > blind_delay * 1.5);
-}
-
-#[test]
-fn lr_sizer_feeds_statistical_optimizer() {
-    let (mut d, fm, _) = setup("c432");
-    let dmin = sizing::min_delay_estimate(&d);
-    let t = dmin * 1.2;
-    size_lagrangian(&mut d, &LrConfig::new(t)).expect("LR sizes");
-    // LR output is a legal starting point for the statistical optimizer.
-    let r = StatisticalOptimizer::new(t)
-        .with_yield_target(0.5)
-        .optimize(&mut d, &fm);
-    assert!(r.final_objective <= r.initial_objective);
 }
 
 #[test]

@@ -49,6 +49,11 @@ fn standard_setup(name: &str) -> (Design, FactorModel) {
     (Design::new(circuit, tech), fm)
 }
 
+/// Back-to-back flows per timed sample of the obs gate. One c880 flow
+/// takes ~400 ms and varies ±15 % run to run on a shared host; five make
+/// a ~2 s sample whose spread is well inside the 10 % bound.
+const OBS_FLOWS_PER_SAMPLE: usize = 5;
+
 #[test]
 #[ignore = "release-build timing gate; run with --ignored"]
 fn obs_overhead_on_c880() {
@@ -59,7 +64,9 @@ fn obs_overhead_on_c880() {
     let time_flow = |sink: obs::SinkSpec| {
         obs::install(&[sink]).expect("install sink");
         let start = Instant::now();
-        statistical_for_yield(&base, &fm, t_clk, 0.95).expect("flow succeeds on c880");
+        for _ in 0..OBS_FLOWS_PER_SAMPLE {
+            statistical_for_yield(&base, &fm, t_clk, 0.95).expect("flow succeeds on c880");
+        }
         let ms = start.elapsed().as_secs_f64() * 1e3;
         obs::flush();
         ms
@@ -72,8 +79,8 @@ fn obs_overhead_on_c880() {
     obs::install(&[obs::SinkSpec::Disabled]).expect("restore disabled sink");
     let overhead = traced / disabled - 1.0;
     println!(
-        "statistical_for_yield c880: disabled {disabled:.2} ms, traced {traced:.2} ms, \
-         overhead {:+.1}% (gate <= 10%), trace {}",
+        "statistical_for_yield c880 x{OBS_FLOWS_PER_SAMPLE}: disabled {disabled:.2} ms, \
+         traced {traced:.2} ms, overhead {:+.1}% (gate <= 10%), trace {}",
         overhead * 100.0,
         trace_path.display()
     );
