@@ -841,7 +841,7 @@ fn a4(ctx: &mut Ctx) {
     use statleak_netlist::placement::Placement;
     use statleak_opt::sizing;
     use statleak_ssta::Ssta;
-    use statleak_tech::{Design, FactorModel, Technology};
+    use statleak_tech::FactorModel;
     println!("\n== A4: grid-Cholesky vs quadtree correlation model ==");
     let circuits = if ctx.opts.quick {
         vec!["c432", "c880"]
@@ -864,10 +864,14 @@ fn a4(ctx: &mut Ctx) {
             let session = Engine::global().session(&cfg)?;
             let setup = session.setup();
             let placement = Placement::by_level(&setup.circuit);
-            let tech = Technology::ptm100();
-            let fm_quad =
-                FactorModel::build_quadtree(&setup.circuit, &placement, &tech, &cfg.variation, 2);
-            let mut design = Design::new(std::sync::Arc::clone(&setup.circuit), tech);
+            let fm_quad = FactorModel::build_quadtree(
+                &setup.circuit,
+                &placement,
+                setup.base.tech(),
+                &cfg.variation,
+                2,
+            );
+            let mut design = setup.base.clone();
             sizing::size_for_delay(&mut design, setup.t_clk)?;
             let mut rows = Vec::new();
             for (label, fm) in [("grid 4x4", &setup.fm), ("quadtree L2", &fm_quad)] {

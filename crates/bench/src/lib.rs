@@ -11,25 +11,25 @@
 
 pub mod checkpoint;
 
-use statleak_netlist::{benchmarks, placement::Placement, Circuit};
-use statleak_tech::{Design, FactorModel, Technology, VariationConfig};
-use std::sync::Arc;
+use statleak_core::flows::{self, FlowConfig, Setup};
+use statleak_netlist::benchmarks;
+use statleak_tech::{Design, FactorModel};
 
 /// Builds the standard `(design, factor model)` pair for a benchmark with
-/// the default 100 nm variation budget.
+/// the default 100 nm variation budget: the model half of the flows'
+/// [`Setup`], without the minimum-delay sizing.
 ///
 /// # Panics
 ///
 /// Panics if the benchmark name is unknown (these helpers are only used
 /// with the fixed suite).
 pub fn standard_setup(name: &str) -> (Design, FactorModel) {
-    let circuit: Arc<Circuit> =
-        Arc::new(benchmarks::by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}")));
-    let placement = Placement::by_level(&circuit);
-    let tech = Technology::ptm100();
-    let fm = FactorModel::build(&circuit, &placement, &tech, &VariationConfig::ptm100())
-        .expect("exponential-kernel correlation always factors");
-    (Design::new(circuit, tech), fm)
+    let cfg = FlowConfig::builder(name)
+        .build()
+        .expect("default flow config");
+    let circuit =
+        flows::benchmark_circuit(name).unwrap_or_else(|_| panic!("unknown benchmark {name}"));
+    Setup::model(circuit, &cfg).expect("exponential-kernel correlation always factors")
 }
 
 /// Peak resident set size of this process so far (bytes), read from the

@@ -304,14 +304,26 @@ impl FlowConfig {
             library: self.library.clone(),
         }
     }
+
+    /// The validation-MC settings this configuration asks for (0 samples
+    /// = skip MC): what [`measure`] and the CLI's MC check run with.
+    pub fn mc_config(&self) -> McConfig {
+        McConfig {
+            samples: self.mc_samples,
+            seed: self.mc_seed,
+            ..Default::default()
+        }
+        .with_scheme(self.mc_sampling)
+    }
 }
 
 /// Fluent, validating builder for [`FlowConfig`].
 ///
-/// Setters store raw values; [`FlowConfigBuilder::build`] applies the same
-/// range checks the CLI enforces on its flags (slack factor ≥ 1, yield in
-/// the open unit interval, positive finite variation sigmas) and reports
-/// the first violation as a typed [`ConfigError`].
+/// Setters store raw values; [`FlowConfigBuilder::build`] holds the only
+/// range checks (slack factor ≥ 1, yield in the open unit interval,
+/// positive finite variation sigmas) — the CLI's flags and the serve
+/// protocol's fields both go through it — and reports the first violation
+/// as a typed [`ConfigError`].
 #[derive(Debug, Clone)]
 pub struct FlowConfigBuilder {
     benchmark: String,
@@ -464,6 +476,10 @@ impl FlowConfigBuilder {
 }
 
 /// Prepared experiment state: circuit, factor model, delay targets.
+///
+/// Every entry point — [`prepare`] (serve, `repro`), the CLI, and the
+/// benchmark harnesses — builds it through [`Setup::new`] (or its model
+/// half, [`Setup::model`]), so all of them see the same design.
 #[derive(Debug, Clone)]
 pub struct Setup {
     /// The benchmark circuit.
@@ -478,6 +494,55 @@ pub struct Setup {
     pub t_clk: f64,
 }
 
+impl Setup {
+    /// The model half of a setup: the unsized all-low-Vth design (through
+    /// the configured library, with wire loads if configured) and the
+    /// factor model of the configured variation, without the minimum-delay
+    /// sizing that [`Setup::new`] adds.
+    ///
+    /// # Errors
+    ///
+    /// Returns a correlation-model error, or [`FlowError::Library`] when a
+    /// configured `.lib` file fails to load.
+    pub fn model(
+        circuit: impl Into<Arc<Circuit>>,
+        cfg: &FlowConfig,
+    ) -> Result<(Design, FactorModel), FlowError> {
+        let circuit = circuit.into();
+        let placement = Placement::by_level(&circuit);
+        let tech = Technology::ptm100();
+        let fm = FactorModel::build(&circuit, &placement, &tech, &cfg.variation)?;
+        let library = cfg.library.build(&tech)?;
+        let mut base = Design::with_library(Arc::clone(&circuit), tech, library);
+        if cfg.wire_loads {
+            base.set_wire_caps(statleak_tech::wire::wire_caps_from_placement(
+                &circuit,
+                &placement,
+                &statleak_tech::wire::WireModel::ptm100(),
+            ));
+        }
+        Ok((base, fm))
+    }
+
+    /// The prepared state of a loaded circuit under `cfg`: its
+    /// [`Setup::model`] plus the minimum delay and the clock target.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Setup::model`].
+    pub fn new(circuit: impl Into<Arc<Circuit>>, cfg: &FlowConfig) -> Result<Setup, FlowError> {
+        let (base, fm) = Setup::model(circuit, cfg)?;
+        let dmin = sizing::min_delay_estimate(&base);
+        Ok(Setup {
+            circuit: base.circuit_arc(),
+            fm,
+            base,
+            dmin,
+            t_clk: dmin * cfg.slack_factor,
+        })
+    }
+}
+
 /// Resolves a benchmark name to its circuit: the combinational suite
 /// first, then the sequential (FF-cut) suite.
 ///
@@ -490,7 +555,8 @@ pub fn benchmark_circuit(name: &str) -> Result<Circuit, FlowError> {
         .ok_or_else(|| FlowError::UnknownBenchmark(name.to_string()))
 }
 
-/// Builds the experiment state for a configuration.
+/// Builds the experiment state for a configuration: resolves the
+/// benchmark name, then [`Setup::new`].
 ///
 /// # Errors
 ///
@@ -498,27 +564,7 @@ pub fn benchmark_circuit(name: &str) -> Result<Circuit, FlowError> {
 /// [`FlowError::Library`] when a configured `.lib` file fails to load.
 pub fn prepare(cfg: &FlowConfig) -> Result<Setup, FlowError> {
     let _span = obs::span!("flow.prepare");
-    let circuit = Arc::new(benchmark_circuit(&cfg.benchmark)?);
-    let placement = Placement::by_level(&circuit);
-    let tech = Technology::ptm100();
-    let fm = FactorModel::build(&circuit, &placement, &tech, &cfg.variation)?;
-    let library = cfg.library.build(&tech)?;
-    let mut base = Design::with_library(Arc::clone(&circuit), tech, library);
-    if cfg.wire_loads {
-        base.set_wire_caps(statleak_tech::wire::wire_caps_from_placement(
-            &circuit,
-            &placement,
-            &statleak_tech::wire::WireModel::ptm100(),
-        ));
-    }
-    let dmin = sizing::min_delay_estimate(&base);
-    Ok(Setup {
-        circuit,
-        fm,
-        base,
-        dmin,
-        t_clk: dmin * cfg.slack_factor,
-    })
+    Setup::new(benchmark_circuit(&cfg.benchmark)?, cfg)
 }
 
 /// Metrics of one optimized (or baseline) design.
@@ -548,48 +594,6 @@ pub struct DesignMetrics {
     pub runtime_s: f64,
 }
 
-/// The validation-MC knobs [`measure`] honors, extracted from a
-/// [`FlowConfig`] (or assembled directly for one-off measurements).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct McSpec {
-    /// Sample count (0 = skip MC).
-    pub samples: usize,
-    /// Sampler and variance-reduction layers.
-    pub sampling: SamplingScheme,
-    /// Base seed of the sub-streams.
-    pub seed: u64,
-}
-
-impl McSpec {
-    /// Plain seeded sampling with the default seed — the historical
-    /// `measure` behavior.
-    pub fn plain(samples: usize) -> Self {
-        Self {
-            samples,
-            sampling: SamplingScheme::default(),
-            seed: McConfig::default().seed,
-        }
-    }
-
-    /// The spec a [`FlowConfig`] requests.
-    pub fn from_config(cfg: &FlowConfig) -> Self {
-        Self {
-            samples: cfg.mc_samples,
-            sampling: cfg.mc_sampling,
-            seed: cfg.mc_seed,
-        }
-    }
-
-    fn mc_config(&self) -> McConfig {
-        McConfig {
-            samples: self.samples,
-            seed: self.seed,
-            ..Default::default()
-        }
-        .with_scheme(self.sampling)
-    }
-}
-
 /// Measures a design against the clock target (and optionally MC).
 ///
 /// The MC yield honors the configured sampler stack: with importance
@@ -597,19 +601,20 @@ impl McSpec {
 /// its interval (while the leakage percentile still comes from an
 /// unshifted population run); with control variates the
 /// indicator-regression estimator narrows the interval; otherwise the
-/// counting yield carries a Wilson score interval.
+/// counting yield carries a Wilson score interval. MC is skipped when
+/// `mc.samples` is 0.
 pub fn measure(
     design: &Design,
     fm: &FactorModel,
     t_clk: f64,
-    spec: McSpec,
+    mc: McConfig,
     runtime_s: f64,
 ) -> DesignMetrics {
     let _span = obs::span!("flow.measure");
     let ssta = Ssta::analyze(design, fm);
     let power = LeakageAnalysis::analyze(design, fm).total_power(design);
-    let (mc_yield, mc_yield_ci, mc_p95) = if spec.samples > 0 {
-        let (est, result) = mc_check(design, fm, t_clk, spec.mc_config());
+    let (mc_yield, mc_yield_ci, mc_p95) = if mc.samples > 0 {
+        let (est, result) = mc_check(design, fm, t_clk, mc);
         let vdd = design.tech().vdd;
         (
             Some(est.yield_value),
@@ -709,7 +714,7 @@ pub fn run_comparison_on(setup: &Setup, cfg: &FlowConfig) -> Result<ComparisonOu
         &baseline,
         fm,
         t_clk,
-        McSpec::from_config(cfg),
+        cfg.mc_config(),
         t0.elapsed().as_secs_f64(),
     );
 
@@ -723,7 +728,7 @@ pub fn run_comparison_on(setup: &Setup, cfg: &FlowConfig) -> Result<ComparisonOu
         &det.design,
         fm,
         t_clk,
-        McSpec::from_config(cfg),
+        cfg.mc_config(),
         t0.elapsed().as_secs_f64(),
     );
 
@@ -737,7 +742,7 @@ pub fn run_comparison_on(setup: &Setup, cfg: &FlowConfig) -> Result<ComparisonOu
         &stat.design,
         fm,
         t_clk,
-        McSpec::from_config(cfg),
+        cfg.mc_config(),
         t0.elapsed().as_secs_f64(),
     );
 
@@ -818,8 +823,8 @@ fn sweep_point(x: f64, o: &ComparisonOutcome) -> SweepPoint {
 ///
 /// Slack-factor sweeps reuse the setup directly (only the clock target
 /// changes, so the parse/placement/correlation work is amortized across
-/// all points); sigma sweeps rebuild the factor model per point, which the
-/// variation change requires.
+/// all points); sigma sweeps rebuild the model of the setup's circuit per
+/// point, which the variation change requires.
 ///
 /// # Errors
 ///
@@ -843,7 +848,7 @@ pub fn sweep_on(
             }
             SweepSpec::SigmaL(_) => {
                 point_cfg.variation = cfg.variation.with_sigma_l(x);
-                point_setup = prepare(&point_cfg)?;
+                point_setup = Setup::new(Arc::clone(&setup.circuit), &point_cfg)?;
             }
         }
         match run_comparison_on(&point_setup, &point_cfg) {
@@ -929,23 +934,12 @@ pub fn mc_validation_on(setup: &Setup, cfg: &FlowConfig) -> Result<McValidation,
     sizing::size_for_yield(&mut design, &setup.fm, setup.t_clk, cfg.eta)?;
     let ssta = Ssta::analyze(&design, &setup.fm);
     let power = LeakageAnalysis::analyze(&design, &setup.fm).total_power(&design);
-    let mc = MonteCarlo::new(
-        McConfig {
-            samples: cfg.mc_samples.max(100),
-            seed: cfg.mc_seed,
-            ..Default::default()
-        }
-        .with_scheme(SamplingScheme {
-            // The validation compares full population statistics, so the
-            // IS estimator transform does not apply here.
-            variance_reduction: VarianceReduction {
-                importance_sampling: false,
-                ..cfg.mc_sampling.variance_reduction
-            },
-            ..cfg.mc_sampling
-        }),
-    )
-    .run(&design, &setup.fm);
+    let mut mc = cfg.mc_config();
+    mc.samples = mc.samples.max(100);
+    // The validation compares full population statistics, so the IS
+    // estimator transform does not apply here.
+    mc.variance_reduction.importance_sampling = false;
+    let mc = MonteCarlo::new(mc).run(&design, &setup.fm);
     let vdd = design.tech().vdd;
     let d = ssta.circuit_delay();
     let md = mc.delay_summary();
@@ -1019,9 +1013,8 @@ pub fn distribution_on(setup: &Setup, cfg: &FlowConfig) -> Result<DistributionDa
     let run = |d: &Design| -> Vec<f64> {
         MonteCarlo::new(McConfig {
             samples: cfg.mc_samples.max(100),
-            seed: cfg.mc_seed,
-            sampler: cfg.mc_sampling.sampler,
-            ..Default::default()
+            variance_reduction: VarianceReduction::default(),
+            ..cfg.mc_config()
         })
         .run(d, &setup.fm)
         .chips()

@@ -3,9 +3,10 @@
 //! This crate assembles the substrates into the experiments the paper
 //! reports:
 //!
-//! * [`flows::prepare`] — benchmark → placement → factor model → minimum
-//!   delay → clock target, producing the [`flows::Setup`] every flow below
-//!   runs on;
+//! * [`flows::prepare`] — benchmark name → [`flows::Setup::new`]:
+//!   placement → factor model → minimum delay → clock target, producing
+//!   the [`flows::Setup`] every flow below runs on (the CLI prepares the
+//!   netlist it loaded through `Setup` directly);
 //! * [`flows::run_comparison_on`] — the headline three-way comparison at
 //!   equal timing yield: unoptimized baseline vs the guard-banded
 //!   deterministic flow vs the statistical flow (table T2);
@@ -49,6 +50,6 @@ pub mod report;
 
 pub use flows::{
     ComparisonOutcome, ConfigError, DesignMetrics, FlowConfig, FlowConfigBuilder, FlowError,
-    LibraryErrorClass, LibrarySpec, McSpec, SweepSpec,
+    LibraryErrorClass, LibrarySpec, SweepSpec,
 };
 pub use joint::JointYield;

@@ -364,8 +364,7 @@ impl ConnGate {
     fn wait_idle(&self) {
         let mut active = self.active.lock().expect("conn gate lock");
         while *active > 0 {
-            let (a, _) = self.cv.wait_timeout(active, POLL).expect("conn gate lock");
-            active = a;
+            active = self.cv.wait(active).expect("conn gate lock");
         }
     }
 }

@@ -254,7 +254,7 @@ impl Session {
             design,
             &self.inner.setup.fm,
             self.inner.setup.t_clk,
-            flows::McSpec::from_config(&self.inner.cfg),
+            self.inner.cfg.mc_config(),
             runtime_s,
         )
     }

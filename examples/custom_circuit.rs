@@ -6,13 +6,11 @@
 //! cargo run --release --example custom_circuit [path/to/file.bench]
 //! ```
 
+use statleak::core::flows::{FlowConfig, Setup};
 use statleak::mc::{McConfig, MonteCarlo};
-use statleak::netlist::placement::Placement;
 use statleak::netlist::{bench, Circuit, CircuitBuilder, GateKind};
-use statleak::opt::{sizing, statistical_for_yield};
+use statleak::opt::statistical_for_yield;
 use statleak::ssta::Ssta;
-use statleak::tech::{Design, FactorModel, Technology, VariationConfig};
-use std::sync::Arc;
 
 /// A 4-bit ripple-carry adder built gate by gate — the kind of datapath
 /// slice a user would hand the optimizer.
@@ -65,17 +63,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.depth
     );
 
-    let circuit = Arc::new(circuit);
-    let placement = Placement::by_level(&circuit);
-    let tech = Technology::ptm100();
-    let fm = FactorModel::build(&circuit, &placement, &tech, &VariationConfig::ptm100())?;
-    let base = Design::new(Arc::clone(&circuit), tech);
-
-    let dmin = sizing::min_delay_estimate(&base);
-    let t_clk = 1.15 * dmin;
+    // The flows' constructor places the circuit, builds its factor model,
+    // and sets the clock target from the minimum delay.
+    let cfg = FlowConfig::builder(circuit.name())
+        .slack_factor(1.15)
+        .eta(0.99)
+        .build()?;
+    let Setup {
+        base,
+        fm,
+        dmin,
+        t_clk,
+        ..
+    } = Setup::new(circuit, &cfg)?;
     println!("Dmin = {dmin:.1} ps, clock target = {t_clk:.1} ps, yield target 99%");
 
-    let out = statistical_for_yield(&base, &fm, t_clk, 0.99)?;
+    let out = statistical_for_yield(&base, &fm, t_clk, cfg.eta)?;
     let r = &out.report;
     println!(
         "optimized: {} of {} gates high-Vth, p95 leakage {:.3} uW -> {:.3} uW, yield {:.4}",

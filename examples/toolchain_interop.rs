@@ -8,21 +8,19 @@
 //! cargo run --release --example toolchain_interop [benchmark]
 //! ```
 
+use statleak::core::flows::{self, FlowConfig, Setup};
 use statleak::mc::{AbbConfig, McConfig, MonteCarlo};
-use statleak::netlist::{benchmarks, placement::Placement, verilog};
-use statleak::opt::{sizing, statistical_for_yield};
+use statleak::netlist::verilog;
+use statleak::opt::statistical_for_yield;
 use statleak::ssta::Ssta;
 use statleak::sta::Sta;
-use statleak::tech::{liberty, Design, FactorModel, Technology, VariationConfig};
-use std::sync::Arc;
+use statleak::tech::liberty;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let benchmark = std::env::args().nth(1).unwrap_or_else(|| "c432".into());
-    let circuit = Arc::new(benchmarks::by_name(&benchmark).ok_or("unknown benchmark")?);
-    let placement = Placement::by_level(&circuit);
-    let tech = Technology::ptm100();
-    let fm = FactorModel::build(&circuit, &placement, &tech, &VariationConfig::ptm100())?;
-    let base = Design::new(Arc::clone(&circuit), tech);
+    let Setup {
+        base, fm, t_clk, ..
+    } = flows::prepare(&FlowConfig::builder(benchmark).build()?)?;
 
     // 1. Liberty view of the dual-Vth library.
     let lib = liberty::export(base.tech(), "statleak100");
@@ -47,8 +45,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Optimize, then hand the netlist to "another tool" via Verilog.
-    let dmin = sizing::min_delay_estimate(&base);
-    let t_clk = 1.20 * dmin;
     let out = statistical_for_yield(&base, &fm, t_clk, 0.95)?;
     let v = verilog::write(out.design.circuit());
     let reparsed = verilog::parse(&v)?;

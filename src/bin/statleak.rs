@@ -7,6 +7,7 @@
 //!
 //! statleak analyze   --input FILE [--clock-ps N] [--report K]
 //!                    [--mc-sampler S] [--mc-samples N] [--mc-seed N]
+//!                    [--liberty FILE[,corner=NAME]]
 //!     Timing (STA/SSTA), leakage, and yield report for a netlist. With
 //!     --mc-samples > 0 an empirical yield with a 95% confidence interval
 //!     is printed; --mc-sampler picks the estimator (`plain`, `sobol`,
@@ -16,7 +17,10 @@
 //! statleak optimize  --input FILE [--slack-factor F] [--eta E]
 //!                    [--triple-vth] [--out-verilog F] [--out-bench F]
 //!                    [--mc-sampler S] [--mc-samples N] [--mc-seed N]
+//!                    [--liberty FILE[,corner=NAME]]
 //!     Run the full statistical flow and write the optimized netlist.
+//!     `--liberty` (both commands) evaluates through a Liberty `.lib`
+//!     file, optionally at a sibling-file process corner.
 //!
 //! statleak export-lib [--out FILE]
 //!     Write the dual-Vth cell library as Liberty-subset text.
@@ -62,8 +66,13 @@
 //!
 //! `--input` accepts `.bench` (ISCAS85/89; DFFs are cut) or structural
 //! Verilog (`.v`/`.verilog`, any case), or the name of a built-in
-//! benchmark (e.g. `c880`). Files with any other extension are rejected
-//! rather than guessed at.
+//! benchmark: the combinational suite (e.g. `c880`), the sequential
+//! FF-cut suite (e.g. `s27`), or a generated `gen<N>[k|m]` circuit. Files
+//! with any other extension are rejected rather than guessed at.
+//!
+//! `analyze`, `optimize` and `trace` prepare their design through
+//! `core::flows::Setup` — the constructor serve and `repro` use — and
+//! their range checks are `FlowConfigBuilder::build`'s.
 //!
 //! Argument parsing is strict: unknown flags, flags missing their value,
 //! and unparsable values are errors, not silently ignored defaults. Each
@@ -74,21 +83,21 @@
 // below (`install_shutdown_handler`), confined to this binary so every
 // library crate keeps `#![forbid(unsafe_code)]`.
 
-use statleak::core::{flows::mc_check, LibrarySpec};
+use statleak::core::flows::{self, mc_check, FlowConfig, Setup};
+use statleak::core::LibrarySpec;
 use statleak::engine::{Json, ServeConfig, Server};
 use statleak::error::StatleakError;
 use statleak::leakage::LeakageAnalysis;
-use statleak::mc::{McConfig, MonteCarlo, SamplingScheme};
-use statleak::netlist::{bench, benchmarks, placement::Placement, verilog, Circuit};
+use statleak::mc::MonteCarlo;
+use statleak::netlist::{bench, benchmarks, verilog, Circuit};
 use statleak::obs;
-use statleak::opt::{sizing, statistical_flow, StatisticalOptimizer};
+use statleak::opt::{statistical_flow, StatisticalOptimizer};
 use statleak::ssta::Ssta;
 use statleak::sta::{SlewSta, Sta};
-use statleak::tech::{liberty, Design, FactorModel, Technology, VariationConfig};
+use statleak::tech::{liberty, Technology};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 use std::str::FromStr;
-use std::sync::Arc;
 
 /// The path named by the I/O error a failed stdout write raises.
 const STDOUT: &str = "<stdout>";
@@ -247,7 +256,7 @@ fn print_usage() -> Result<(), StatleakError> {
          \x20 trace     INPUT [--slack-factor F] [--eta E] [--mc-samples N] [--top K]\n\
          \n\
          global flags: --trace FILE (NDJSON span trace), --log-level LEVEL\n\
-         --input accepts .bench, .v, or a built-in name like c880\n\
+         --input accepts .bench, .v, or a built-in name: c880, s27, gen10k\n\
          --mc-sampler: plain | sobol, layered with +is / +cv (e.g. sobol+is)\n\
          serve speaks newline-delimited JSON (docs/SERVE_PROTOCOL.md)\n\
          exit codes: 0 ok, 2 usage, 3 io, 4 parse, 5 model, 6 infeasible, 7 busy"
@@ -317,11 +326,18 @@ fn require_positive(key: &str, x: f64) -> Result<f64, StatleakError> {
     }
 }
 
-fn load_circuit(flags: &BTreeMap<String, String>) -> Result<Circuit, StatleakError> {
-    let input = flags
+/// The required `--input` value of `analyze` and `optimize`.
+fn input_flag(flags: &BTreeMap<String, String>) -> Result<&str, StatleakError> {
+    flags
         .get("--input")
-        .ok_or_else(|| StatleakError::Usage("missing --input".into()))?;
-    if let Some(c) = benchmarks::by_name(input) {
+        .map(String::as_str)
+        .ok_or_else(|| StatleakError::Usage("missing --input".into()))
+}
+
+/// Loads `--input`: a benchmark name the flows know (combinational or
+/// sequential suite), else a `.bench`/`.v` file chosen by extension.
+fn load_circuit(input: &str) -> Result<Circuit, StatleakError> {
+    if let Ok(c) = flows::benchmark_circuit(input) {
         return Ok(c);
     }
     let path = std::path::Path::new(input);
@@ -335,7 +351,7 @@ fn load_circuit(flags: &BTreeMap<String, String>) -> Result<Circuit, StatleakErr
         .unwrap_or("design");
     let read = || {
         std::fs::read_to_string(input).map_err(|e| StatleakError::Io {
-            path: input.clone(),
+            path: input.to_string(),
             source: e,
         })
     };
@@ -343,56 +359,53 @@ fn load_circuit(flags: &BTreeMap<String, String>) -> Result<Circuit, StatleakErr
         Some("v") | Some("verilog") => Ok(verilog::parse(&read()?)?),
         Some("bench") => Ok(bench::parse(stem, &read()?)?),
         _ => Err(StatleakError::UnknownFormat {
-            path: input.clone(),
+            path: input.to_string(),
         }),
     }
 }
 
-/// Parses the shared `--mc-sampler` / `--mc-samples` / `--mc-seed` flags.
-/// Unknown sampler tokens are usage errors (exit 2), reported with the
-/// parser's own diagnostic. `default_samples` differs per command
-/// (`analyze` skips MC unless asked; `optimize` always confirms).
-fn parse_mc_flags(
+/// Builds a command's [`FlowConfig`] from the flags it accepts
+/// (`--slack-factor`, `--eta`, `--mc-sampler`, `--mc-samples`,
+/// `--mc-seed`, `--liberty`); absent flags keep the builder's defaults,
+/// except the MC sample count, whose default differs per command
+/// (`optimize` always confirms, `analyze` and `trace` skip MC unless
+/// asked). The range checks are the builder's; a rejected value is a usage
+/// error naming its flag.
+fn flow_config(
+    input: &str,
     flags: &BTreeMap<String, String>,
-    default_samples: usize,
-) -> Result<McConfig, StatleakError> {
-    let scheme = match flags.get("--mc-sampler") {
-        None => SamplingScheme::default(),
-        Some(v) => v
-            .parse::<SamplingScheme>()
-            .map_err(|e| StatleakError::Usage(format!("`--mc-sampler`: {e}")))?,
-    };
-    let samples = get_parsed::<usize>(flags, "--mc-samples")?.unwrap_or(default_samples);
-    let seed = get_parsed::<u64>(flags, "--mc-seed")?.unwrap_or(McConfig::default().seed);
-    Ok(McConfig {
-        samples,
-        seed,
-        ..Default::default()
+    default_mc_samples: usize,
+) -> Result<FlowConfig, StatleakError> {
+    let mut cfg = FlowConfig::builder(input)
+        .mc_samples(get_parsed(flags, "--mc-samples")?.unwrap_or(default_mc_samples));
+    if let Some(v) = get_parsed(flags, "--slack-factor")? {
+        cfg = cfg.slack_factor(v);
     }
-    .with_scheme(scheme))
-}
-
-/// Parses the optional `--liberty <file>[,corner=<name>]` flag into a
-/// [`LibrarySpec`] (builtin models when the flag is absent).
-fn parse_library_flag(flags: &BTreeMap<String, String>) -> Result<LibrarySpec, StatleakError> {
-    match flags.get("--liberty") {
-        None => Ok(LibrarySpec::Builtin),
-        Some(spec) => {
-            LibrarySpec::parse(spec).map_err(|e| StatleakError::Usage(format!("`--liberty` {e}")))
-        }
+    if let Some(v) = get_parsed(flags, "--eta")? {
+        cfg = cfg.eta(v);
     }
-}
-
-fn build_context(
-    circuit: Circuit,
-    library: &LibrarySpec,
-) -> Result<(Design, FactorModel), StatleakError> {
-    let circuit = Arc::new(circuit);
-    let placement = Placement::by_level(&circuit);
-    let tech = Technology::ptm100();
-    let fm = FactorModel::build(&circuit, &placement, &tech, &VariationConfig::ptm100())?;
-    let lib = library.build(&tech)?;
-    Ok((Design::with_library(circuit, tech, lib), fm))
+    if let Some(v) = flags.get("--mc-sampler") {
+        cfg = cfg.mc_sampler(
+            v.parse()
+                .map_err(|e| StatleakError::Usage(format!("`--mc-sampler`: {e}")))?,
+        );
+    }
+    if let Some(v) = get_parsed(flags, "--mc-seed")? {
+        cfg = cfg.mc_seed(v);
+    }
+    if let Some(spec) = flags.get("--liberty") {
+        cfg = cfg.library(
+            LibrarySpec::parse(spec)
+                .map_err(|e| StatleakError::Usage(format!("`--liberty` {e}")))?,
+        );
+    }
+    cfg.build().map_err(|e| {
+        let flag = match e.field {
+            "benchmark" => "input".to_string(),
+            field => field.replace('_', "-"),
+        };
+        StatleakError::Usage(format!("`--{flag}` {}", e.message))
+    })
 }
 
 fn write_file(path: &str, text: String) -> Result<(), StatleakError> {
@@ -445,10 +458,9 @@ fn cmd_analyze(args: &[String]) -> Result<(), StatleakError> {
         None => None,
     };
     let report_k = get_parsed::<usize>(&flags, "--report")?;
-    // MC confirmation is opt-in for analyze: 0 samples unless asked.
-    let mc_config = parse_mc_flags(&flags, 0)?;
-    let library = parse_library_flag(&flags)?;
-    let (design, fm) = build_context(load_circuit(&flags)?, &library)?;
+    let input = input_flag(&flags)?;
+    let cfg = flow_config(input, &flags, 0)?;
+    let (design, fm) = Setup::model(load_circuit(input)?, &cfg)?;
     let stats = design.circuit().stats();
     outln!(
         "{}: {} inputs, {} outputs, {} gates, depth {}",
@@ -483,9 +495,10 @@ fn cmd_analyze(args: &[String]) -> Result<(), StatleakError> {
         t_clk,
         ssta.timing_yield(t_clk)
     )?;
-    if mc_config.samples > 0 {
-        let scheme = mc_config.scheme();
-        let est = MonteCarlo::new(mc_config).timing_yield_estimate(&design, &fm, t_clk);
+    let mc = cfg.mc_config();
+    if mc.samples > 0 {
+        let scheme = mc.scheme();
+        let est = MonteCarlo::new(mc).timing_yield_estimate(&design, &fm, t_clk);
         outln!(
             "MC yield ({scheme})  : {:.4}  95% CI [{:.4}, {:.4}]  ({} samples, ESS {:.0})",
             est.yield_value,
@@ -521,39 +534,24 @@ fn cmd_optimize(args: &[String]) -> Result<(), StatleakError> {
         ],
         &["--triple-vth"],
     )?;
-    let mc_config = parse_mc_flags(&flags, 1000)?;
     // Validate every value before the (expensive) flow starts.
-    let slack = match get_parsed::<f64>(&flags, "--slack-factor")? {
-        Some(v) if v.is_finite() && v >= 1.0 => v,
-        Some(v) => {
-            return Err(StatleakError::Usage(format!(
-                "`--slack-factor` must be >= 1.0 (a multiple of Dmin), got {v}"
-            )))
-        }
-        None => 1.20,
-    };
-    let eta = match get_parsed::<f64>(&flags, "--eta")? {
-        Some(v) if v > 0.0 && v < 1.0 => v,
-        Some(v) => {
-            return Err(StatleakError::Usage(format!(
-                "`--eta` must be a yield in (0, 1), got {v}"
-            )))
-        }
-        None => 0.95,
-    };
-    let library = parse_library_flag(&flags)?;
-    let (base, fm) = build_context(load_circuit(&flags)?, &library)?;
+    let input = input_flag(&flags)?;
+    let cfg = flow_config(input, &flags, 1000)?;
+    let circuit = load_circuit(input)?;
 
     note!("estimating minimum delay...");
-    let dmin = sizing::min_delay_estimate(&base);
-    let t_clk = dmin * slack;
-    note!("Dmin = {dmin:.1} ps, clock target = {t_clk:.1} ps, yield target = {eta}");
+    let setup = Setup::new(circuit, &cfg)?;
+    let (t_clk, eta) = (setup.t_clk, cfg.eta);
+    note!(
+        "Dmin = {:.1} ps, clock target = {t_clk:.1} ps, yield target = {eta}",
+        setup.dmin
+    );
 
     let mut proto = StatisticalOptimizer::new(t_clk).with_yield_target(eta);
     if flags.contains_key("--triple-vth") {
         proto = proto.with_triple_vth();
     }
-    let out = statistical_flow(&base, &fm, &proto)?;
+    let out = statistical_flow(&setup.base, &setup.fm, &proto)?;
     let r = &out.report;
     outln!(
         "optimized: p95 leakage {:.3} uW -> {:.3} uW ({:.1}% saved), yield {:.4}",
@@ -570,9 +568,10 @@ fn cmd_optimize(args: &[String]) -> Result<(), StatleakError> {
     )?;
 
     // Monte-Carlo confirmation (skipped with --mc-samples 0).
-    if mc_config.samples > 0 {
-        let scheme = mc_config.scheme();
-        let (est, population) = mc_check(&out.design, &fm, t_clk, mc_config);
+    let mc = cfg.mc_config();
+    if mc.samples > 0 {
+        let scheme = mc.scheme();
+        let (est, population) = mc_check(&out.design, &setup.fm, t_clk, mc);
         outln!(
             "MC check ({scheme}): yield {:.4} 95% CI [{:.4}, {:.4}], p95 leakage {:.3} uW",
             est.yield_value,
@@ -1121,8 +1120,6 @@ fn cmd_top(args: &[String]) -> Result<(), StatleakError> {
 }
 
 fn cmd_trace(args: &[String], trace_file: Option<&str>) -> Result<(), StatleakError> {
-    use statleak::core::flows::{self, FlowConfig, Setup};
-
     let Some(input) = args.first().filter(|a| !a.starts_with("--")) else {
         return Err(StatleakError::Usage(
             "trace requires a netlist: statleak trace <input> [--slack-factor F] \
@@ -1135,25 +1132,7 @@ fn cmd_trace(args: &[String], trace_file: Option<&str>) -> Result<(), StatleakEr
         &["--slack-factor", "--eta", "--mc-samples", "--top"],
         &[],
     )?;
-    let slack = match get_parsed::<f64>(&flags, "--slack-factor")? {
-        Some(v) if v.is_finite() && v >= 1.0 => v,
-        Some(v) => {
-            return Err(StatleakError::Usage(format!(
-                "`--slack-factor` must be >= 1.0 (a multiple of Dmin), got {v}"
-            )))
-        }
-        None => 1.20,
-    };
-    let eta = match get_parsed::<f64>(&flags, "--eta")? {
-        Some(v) if v > 0.0 && v < 1.0 => v,
-        Some(v) => {
-            return Err(StatleakError::Usage(format!(
-                "`--eta` must be a yield in (0, 1), got {v}"
-            )))
-        }
-        None => 0.95,
-    };
-    let mc_samples = get_parsed::<usize>(&flags, "--mc-samples")?.unwrap_or(0);
+    let cfg = flow_config(input, &flags, 0)?;
     let top = get_parsed::<usize>(&flags, "--top")?.unwrap_or(15).max(1);
 
     // In-memory sink for the profile table, plus the NDJSON file when the
@@ -1167,42 +1146,20 @@ fn cmd_trace(args: &[String], trace_file: Option<&str>) -> Result<(), StatleakEr
         source: e,
     })?;
 
-    let mut input_flags = BTreeMap::new();
-    input_flags.insert("--input".to_string(), input.clone());
-    let circuit = load_circuit(&input_flags)?;
+    let circuit = load_circuit(input)?;
     let name = circuit.name().to_string();
 
-    // Build the Setup by hand (so on-disk netlists work, not just built-in
-    // benchmark names) and run the full comparison single-threaded: the
-    // rayon shim runs 1-thread parallel calls inline, which keeps every
-    // span on one thread with exact parent links for self-time accounting.
+    // Prepare the loaded netlist (so on-disk netlists work, not just
+    // built-in benchmark names) and run the full comparison
+    // single-threaded: the rayon shim runs 1-thread parallel calls inline,
+    // which keeps every span on one thread with exact parent links for
+    // self-time accounting.
     note!("tracing comparison flow on {name}...");
     let outcome = rayon::ThreadPoolBuilder::new()
         .num_threads(1)
         .build()
         .expect("thread pool")
-        .install(|| -> Result<_, StatleakError> {
-            let circuit = Arc::new(circuit);
-            let placement = Placement::by_level(&circuit);
-            let tech = Technology::ptm100();
-            let fm = FactorModel::build(&circuit, &placement, &tech, &VariationConfig::ptm100())?;
-            let base = Design::new(Arc::clone(&circuit), tech);
-            let dmin = sizing::min_delay_estimate(&base);
-            let setup = Setup {
-                circuit,
-                fm,
-                base,
-                dmin,
-                t_clk: dmin * slack,
-            };
-            let cfg = FlowConfig::builder(&name)
-                .slack_factor(slack)
-                .eta(eta)
-                .mc_samples(mc_samples)
-                .build()
-                .map_err(|e| StatleakError::Usage(e.to_string()))?;
-            Ok(flows::run_comparison_on(&setup, &cfg)?)
-        })?;
+        .install(|| flows::run_comparison_on(&Setup::new(circuit, &cfg)?, &cfg))?;
 
     let records = obs::take_memory();
     let rows = obs::self_time(&records);

@@ -190,10 +190,49 @@ fn malformed_bench_file_exits_with_parse_code() {
 
 #[test]
 fn out_of_range_option_is_a_usage_error() {
-    let out = statleak(&["optimize", "--input", "c17", "--eta", "1.5"]);
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("--eta"), "{err}");
+    let cases: [(&[&str], &str); 3] = [
+        (&["optimize", "--input", "c17", "--eta", "1.5"], "--eta"),
+        (
+            &["optimize", "--input", "c17", "--slack-factor", "0.5"],
+            "--slack-factor",
+        ),
+        (&["trace", "c17", "--eta", "1.5"], "--eta"),
+    ];
+    for (args, flag) in cases {
+        let out = statleak(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(flag), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn input_resolves_sequential_benchmark_names() {
+    for args in [
+        &["analyze", "--input", "s27"][..],
+        &["optimize", "--input", "s27", "--mc-samples", "0"],
+    ] {
+        let out = statleak(args);
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
+/// `optimize` prepares through the same flows constructor as serve and
+/// `repro`; its stdout is pinned byte for byte so the two cannot drift.
+#[test]
+fn optimize_stdout_matches_golden() {
+    let out = statleak(&["optimize", "--input", "c432", "--mc-samples", "200"]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let golden = include_str!("golden/optimize-c432-mc200.txt");
+    assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
 }
 
 #[test]

@@ -16,17 +16,17 @@
 //! * [`serve_batch_throughput_and_access_log`] — warm serving throughput,
 //!   batch speed-up, service p99, and the audit log's cost and completeness.
 
+use statleak::core::flows::{self, FlowConfig};
 use statleak::engine::{ServeConfig, Server};
 use statleak::mc::{McConfig, MonteCarlo, SamplingScheme};
-use statleak::netlist::{benchmarks, placement::Placement};
 use statleak::obs;
-use statleak::opt::{sizing, statistical_for_yield};
+use statleak::opt::statistical_for_yield;
 use statleak::ssta::Ssta;
-use statleak::tech::{Design, FactorModel, Technology, VariationConfig};
+use statleak::tech::{Design, FactorModel};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::AtomicBool;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Serializes the gates: timings taken while another gate runs are noise.
@@ -38,15 +38,15 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// The standard `(design, factor model)` pair: level placement and the
-/// default 100 nm variation budget.
-fn standard_setup(name: &str) -> (Design, FactorModel) {
-    let circuit = Arc::new(benchmarks::by_name(name).expect("suite circuit"));
-    let placement = Placement::by_level(&circuit);
-    let tech = Technology::ptm100();
-    let fm = FactorModel::build(&circuit, &placement, &tech, &VariationConfig::ptm100())
-        .expect("exponential-kernel correlation always factors");
-    (Design::new(circuit, tech), fm)
+/// A suite circuit prepared by the flows with their defaults (level
+/// placement, builtin library, 100 nm variation budget): its unsized
+/// design, its factor model, and the 1.20·Dmin clock.
+fn standard_setup(name: &str) -> (Design, FactorModel, f64) {
+    let cfg = FlowConfig::builder(name)
+        .build()
+        .expect("default flow config");
+    let setup = flows::prepare(&cfg).expect("suite circuit");
+    (setup.base, setup.fm, setup.t_clk)
 }
 
 /// Back-to-back flows per timed sample of the obs gate. One c880 flow
@@ -58,8 +58,7 @@ const OBS_FLOWS_PER_SAMPLE: usize = 5;
 #[ignore = "release-build timing gate; run with --ignored"]
 fn obs_overhead_on_c880() {
     let _serial = serial();
-    let (base, fm) = standard_setup("c880");
-    let t_clk = sizing::min_delay_estimate(&base) * 1.20;
+    let (base, fm, t_clk) = standard_setup("c880");
     let trace_path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("trace-c880.ndjson");
     let time_flow = |sink: obs::SinkSpec| {
         obs::install(&[sink]).expect("install sink");
@@ -107,7 +106,7 @@ fn importance_sampling_and_sobol_on_c880_c1908() {
     let _serial = serial();
     let mut failures = Vec::new();
     for name in ["c880", "c1908"] {
-        let (design, fm) = standard_setup(name);
+        let (design, fm, _) = standard_setup(name);
         let ssta = Ssta::analyze(&design, &fm);
 
         // At a matched CI half-width, a counting estimator needs

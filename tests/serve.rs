@@ -41,7 +41,7 @@ impl Daemon {
     }
 
     /// Polls the inline `stats` op until `predicate` holds on the raw
-    /// response (control ops stay responsive while workers are busy).
+    /// response (control ops stay responsive while every permit is held).
     fn wait_for_stats(&self, predicate: impl Fn(&str) -> bool, what: &str) {
         let deadline = Instant::now() + Duration::from_secs(30);
         loop {
@@ -157,14 +157,15 @@ fn serve_answers_requests_and_reports_cache_stats() {
 
 #[test]
 fn serve_sheds_load_with_busy_and_drains_in_flight_work_on_sigterm() {
-    // One worker, queue depth one: with the worker occupied and the queue
-    // full, the next request must be rejected as busy instead of waiting
-    // unboundedly.
+    // One permit, queue depth one: with the permit held and one request
+    // waiting at the admission gate, the next request must be rejected as
+    // busy instead of waiting unboundedly.
     let daemon = Daemon::spawn(&["--workers", "1", "--queue-depth", "1"]);
     let addr = daemon.addr.clone();
 
-    // Occupy the worker with a slow request (large Monte Carlo run:
-    // ~10 s in a debug build) and wait until it has been dequeued.
+    // Hold the permit with a slow request (large Monte Carlo run: ~10 s in
+    // a debug build). Its op count is bumped at dispatch, just before it
+    // takes the free permit, so once `stats` shows it the permit is held.
     let slow = r#"{"id":"slow","op":"mc_validation","benchmark":"c880","mc_samples":20000}"#;
     let occupant = {
         let addr = addr.clone();
@@ -172,12 +173,11 @@ fn serve_sheds_load_with_busy_and_drains_in_flight_work_on_sigterm() {
         std::thread::spawn(move || request_at(&addr, &slow))
     };
     daemon.wait_for_stats(
-        |s| s.contains(r#""connections":"#) && s.contains(r#""queued":0"#),
+        |s| s.contains(r#""mc_validation":1"#),
         "slow request to arrive",
     );
-    std::thread::sleep(Duration::from_millis(500)); // worker dequeue latency
 
-    // Fill the single queue slot behind it and wait until it is visible.
+    // Queue one request behind it at the gate and wait until it is visible.
     let queued = {
         let addr = addr.clone();
         std::thread::spawn(move || {
@@ -194,7 +194,7 @@ fn serve_sheds_load_with_busy_and_drains_in_flight_work_on_sigterm() {
         daemon.request(r#"{"id":"extra","op":"comparison","benchmark":"c17","mc_samples":0}"#);
     assert!(busy.contains(r#""class":"busy""#), "{busy}");
     assert!(busy.contains(r#""id":"extra""#), "{busy}");
-    // Control ops still answer inline while the pool is saturated.
+    // Control ops still answer inline while every permit is held.
     assert!(daemon
         .request(r#"{"id":"p2","op":"ping"}"#)
         .contains(r#""pong":true"#));
