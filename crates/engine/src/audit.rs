@@ -60,6 +60,22 @@ pub struct AccessRecord {
 }
 
 impl AccessRecord {
+    /// A record of `op` for request `id` ending in `outcome`, with every
+    /// optional field empty.
+    pub fn new(trace_id: TraceId, id: &Json, op: &'static str, outcome: &'static str) -> Self {
+        AccessRecord {
+            trace_id,
+            id: id.clone(),
+            op,
+            outcome,
+            session_key: None,
+            queue_wait_ns: None,
+            service_ns: None,
+            deadline_exceeded: false,
+            batch_index: None,
+        }
+    }
+
     fn to_ndjson(&self, ts_ms: u64) -> String {
         let mut pairs = vec![
             ("ts_ms", Json::Num(ts_ms as f64)),
@@ -168,15 +184,10 @@ mod tests {
 
     fn record(op: &'static str, outcome: &'static str) -> AccessRecord {
         AccessRecord {
-            trace_id: TraceId(0xABC),
-            id: Json::Num(1.0),
-            op,
-            outcome,
             session_key: Some(0x1234),
             queue_wait_ns: Some(500),
             service_ns: Some(9000),
-            deadline_exceeded: false,
-            batch_index: None,
+            ..AccessRecord::new(TraceId(0xABC), &Json::Num(1.0), op, outcome)
         }
     }
 

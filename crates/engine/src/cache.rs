@@ -1,12 +1,9 @@
 //! A small bounded LRU cache and the content hasher that keys it.
 //!
-//! Lookups are O(1): a `HashMap` indexes the entries, and recency is
-//! tracked with a lazily-compacted queue of `(stamp, key)` pairs instead
-//! of an intrusive linked list — a stale queue entry (one whose stamp no
-//! longer matches the map's) is simply skipped at eviction time. That
-//! keeps `get` allocation-free on the hot path while staying safe code.
-
-use std::collections::{HashMap, VecDeque};
+//! The cache holds a few dozen prepared sessions at most (32 by default),
+//! so a recency-ordered `Vec` scanned linearly is both the simplest and a
+//! fast enough structure: every operation touches at most `capacity`
+//! entries.
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -70,29 +67,15 @@ impl ContentHasher {
     }
 }
 
-/// One cached value plus the recency stamp of its latest touch.
-#[derive(Debug)]
-struct Slot<V> {
-    value: V,
-    stamp: u64,
-}
-
 /// A bounded least-recently-used map from `u64` keys to values.
 ///
-/// `get` and `insert` are O(1) amortized: the map holds the values, and
-/// every touch appends a fresh `(stamp, key)` pair to the recency queue.
-/// Only the queue entry whose stamp matches the map's current stamp for
-/// that key is live; eviction pops stale pairs until it finds a live one,
-/// and the queue is compacted once it grows past twice the live count.
+/// Entries sit in recency order, least recent first; a touch moves its
+/// entry to the back and an insertion past `capacity` drops the front.
 /// Not thread-safe by itself — the engine wraps it in a `Mutex`.
 #[derive(Debug)]
 pub struct Lru<V> {
     capacity: usize,
-    map: HashMap<u64, Slot<V>>,
-    /// Recency queue: back is most recent. May contain stale pairs.
-    order: VecDeque<(u64, u64)>,
-    /// Monotone touch counter; stamps are unique per touch.
-    clock: u64,
+    entries: Vec<(u64, V)>,
 }
 
 impl<V: Clone> Lru<V> {
@@ -100,38 +83,16 @@ impl<V: Clone> Lru<V> {
     pub fn new(capacity: usize) -> Self {
         Self {
             capacity: capacity.max(1),
-            map: HashMap::new(),
-            order: VecDeque::new(),
-            clock: 0,
-        }
-    }
-
-    /// Marks `key` as touched now and records the touch in the queue.
-    fn touch(&mut self, key: u64) -> u64 {
-        self.clock += 1;
-        self.order.push_back((self.clock, key));
-        self.clock
-    }
-
-    /// Drops stale queue pairs once they outnumber the live entries.
-    fn maybe_compact(&mut self) {
-        if self.order.len() > 2 * self.map.len() + 8 {
-            let map = &self.map;
-            self.order
-                .retain(|&(stamp, key)| map.get(&key).is_some_and(|s| s.stamp == stamp));
+            entries: Vec::new(),
         }
     }
 
     /// Looks up `key`, promoting it to most-recently-used on a hit.
     pub fn get(&mut self, key: u64) -> Option<V> {
-        if !self.map.contains_key(&key) {
-            return None;
-        }
-        let stamp = self.touch(key);
-        let slot = self.map.get_mut(&key).expect("checked above");
-        slot.stamp = stamp;
-        let value = slot.value.clone();
-        self.maybe_compact();
+        let i = self.entries.iter().position(|&(k, _)| k == key)?;
+        let entry = self.entries.remove(i);
+        let value = entry.1.clone();
+        self.entries.push(entry);
         Some(value)
     }
 
@@ -145,46 +106,19 @@ impl<V: Clone> Lru<V> {
         if let Some(existing) = self.get(key) {
             return (existing, None);
         }
-        let stamp = self.touch(key);
-        self.map.insert(
-            key,
-            Slot {
-                value: value.clone(),
-                stamp,
-            },
-        );
-        let evicted = if self.map.len() > self.capacity {
-            Some(self.evict_lru())
-        } else {
-            None
-        };
-        self.maybe_compact();
+        self.entries.push((key, value.clone()));
+        let evicted = (self.entries.len() > self.capacity).then(|| self.entries.remove(0).0);
         (value, evicted)
-    }
-
-    /// Removes and returns the least-recently-used key, skipping stale
-    /// queue pairs.
-    fn evict_lru(&mut self) -> u64 {
-        loop {
-            let (stamp, key) = self
-                .order
-                .pop_front()
-                .expect("queue covers every live entry");
-            if self.map.get(&key).is_some_and(|s| s.stamp == stamp) {
-                self.map.remove(&key);
-                return key;
-            }
-        }
     }
 
     /// Current number of cached entries.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.entries.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.entries.is_empty()
     }
 
     /// The configured bound.
@@ -194,19 +128,12 @@ impl<V: Clone> Lru<V> {
 
     /// Keys from most- to least-recently-used (for tests and stats).
     pub fn keys(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.map.len());
-        for &(stamp, key) in self.order.iter().rev() {
-            if self.map.get(&key).is_some_and(|s| s.stamp == stamp) {
-                out.push(key);
-            }
-        }
-        out
+        self.entries.iter().rev().map(|&(k, _)| k).collect()
     }
 
     /// Drops every entry.
     pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
+        self.entries.clear();
     }
 }
 
@@ -275,9 +202,8 @@ mod tests {
 
     #[test]
     fn lru_survives_heavy_re_touching_without_queue_growth() {
-        // Many repeated gets on the same keys leave stale pairs behind;
-        // compaction must keep the queue bounded and eviction must still
-        // pick the true LRU entry.
+        // Many repeated gets on the same keys must still leave eviction
+        // picking the true LRU entry.
         let mut lru = Lru::new(3);
         lru.insert(1, "a");
         lru.insert(2, "b");
@@ -286,12 +212,6 @@ mod tests {
             assert_eq!(lru.get(2), Some("b"));
             assert_eq!(lru.get(3), Some("c"));
         }
-        assert!(
-            lru.order.len() <= 2 * lru.map.len() + 8,
-            "queue grew unboundedly: {} pairs for {} entries",
-            lru.order.len(),
-            lru.map.len()
-        );
         // Key 1 has not been touched since insert: it is the LRU entry.
         let (_, evicted) = lru.insert(4, "d");
         assert_eq!(evicted, Some(1));

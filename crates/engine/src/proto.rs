@@ -178,19 +178,23 @@ pub struct ProtoError {
 }
 
 impl ProtoError {
-    fn usage(message: impl Into<String>) -> Self {
+    /// An error of `class` (see the module table) saying `message`.
+    pub fn new(class: &'static str, message: impl Into<String>) -> Self {
         Self {
-            class: "usage",
+            class,
             message: message.into(),
         }
     }
 
+    fn usage(message: impl Into<String>) -> Self {
+        Self::new("usage", message)
+    }
+}
+
+impl From<FlowError> for ProtoError {
     /// Maps a flow failure onto its protocol class.
-    pub fn from_flow(e: &FlowError) -> Self {
-        Self {
-            class: e.class(),
-            message: e.to_string(),
-        }
+    fn from(e: FlowError) -> Self {
+        Self::new(e.class(), e.to_string())
     }
 }
 
@@ -294,10 +298,9 @@ fn parse_config(obj: &Json) -> Result<FlowConfig, ProtoError> {
             builder = builder.library(spec);
         }
     }
-    builder.build().map_err(|e| ProtoError {
-        class: "config",
-        message: e.to_string(),
-    })
+    builder
+        .build()
+        .map_err(|e| ProtoError::new("config", e.to_string()))
 }
 
 /// Upper bound on sub-requests in one `batch` op.
@@ -731,7 +734,7 @@ pub fn cache_stats_json(s: &CacheStats) -> Json {
 ///
 /// Returns the typed [`ProtoError`] for flow failures.
 pub fn execute(session: &Session, op: &Op) -> Result<Json, ProtoError> {
-    let flow = |r: Result<Json, FlowError>| r.map_err(|e| ProtoError::from_flow(&e));
+    let flow = |r: Result<Json, FlowError>| r.map_err(ProtoError::from);
     match op {
         Op::Comparison(_) => flow(session.run_comparison().map(|o| comparison_json(&o))),
         Op::Sweep(_, spec) => flow(session.sweep(spec).map(|p| sweep_json(spec.axis(), &p))),
@@ -748,10 +751,10 @@ pub fn execute(session: &Session, op: &Op) -> Result<Json, ProtoError> {
         | Op::Shutdown
         | Op::Metrics
         | Op::MetricsText
-        | Op::Route(..) => Err(ProtoError {
-            class: "internal",
-            message: format!("op `{}` cannot execute against a single session", op.name()),
-        }),
+        | Op::Route(..) => Err(ProtoError::new(
+            "internal",
+            format!("op `{}` cannot execute against a single session", op.name()),
+        )),
     }
 }
 

@@ -9,6 +9,12 @@
 //! control ops (`ping`/`stats`/`route`/`shutdown`) skip the gate, so they
 //! stay responsive under load.
 //!
+//! One path answers analysis ops: dispatch hashes a request's config into
+//! its session key once, and a single op and a `batch`'s items both go
+//! through `answer` (store lookup, at most one session for the misses,
+//! each miss run panic-safe, each success saved). A batch wraps the same
+//! results in its envelope.
+//!
 //! Three production features sit on top of that core:
 //!
 //! - **Persistent warm store** ([`Store`]): with a `store_dir` configured,
@@ -53,6 +59,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::slice;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
@@ -529,11 +536,14 @@ impl Server {
 }
 
 /// Runs one admitted analysis request and renders its response line.
+/// `key` is the request's session key, computed once at dispatch;
 /// `accepted` is when the request arrived at the gate; `trace` is the
 /// client's context or one the server originated at dispatch.
 fn process(
     shared: &Shared,
     request: &Request,
+    cfg: &FlowConfig,
+    key: Result<u64, ProtoError>,
     trace: TraceContext,
     accepted: Instant,
     deadline: Option<Duration>,
@@ -543,91 +553,87 @@ fn process(
     // pick it up.
     let _trace = obs::trace::enter(trace);
     let _span = obs::span!("serve.process");
-    let id = &request.id;
     let queue_wait = accepted.elapsed();
     obs::histogram!("serve_queue_wait_ns").record_duration_traced(queue_wait);
-    // Client-supplied trace ids are echoed in the response; server-
-    // originated ones are not, so untraced repeats stay byte-identical.
-    let client_traced = request.trace.is_some();
     let mut record = AccessRecord {
-        trace_id: trace.trace_id,
-        id: id.clone(),
-        op: request.op.name(),
-        outcome: "error",
-        session_key: None,
         queue_wait_ns: Some(queue_wait.as_nanos() as u64),
-        service_ns: None,
-        deadline_exceeded: false,
-        batch_index: None,
+        ..AccessRecord::new(trace.trace_id, &request.id, request.op.name(), "error")
     };
-    if let Some(deadline) = deadline {
-        if accepted.elapsed() > deadline {
-            shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("serve_deadline_expired_total").inc();
-            record.outcome = "deadline_exceeded";
-            shared.audit(&record);
-            let mut extra: Vec<(&str, Json)> = Vec::new();
-            if client_traced {
-                extra.push(proto::trace_extra(&trace));
-            }
-            return proto::err_response_with(
-                id,
-                &ProtoError {
-                    class: "deadline",
-                    message: format!(
-                        "request waited {:.0} ms, past its {:.0} ms deadline",
-                        accepted.elapsed().as_secs_f64() * 1e3,
-                        deadline.as_secs_f64() * 1e3
-                    ),
-                },
-                extra,
-            );
-        }
+    if let Some(deadline) = deadline.filter(|&d| accepted.elapsed() > d) {
+        record.outcome = "deadline_exceeded";
+        let error = ProtoError::new(
+            "deadline",
+            format!(
+                "request waited {:.0} ms, past its {:.0} ms deadline",
+                accepted.elapsed().as_secs_f64() * 1e3,
+                deadline.as_secs_f64() * 1e3
+            ),
+        );
+        let count = (
+            &shared.deadline_expired,
+            obs::counter!("serve_deadline_expired_total"),
+        );
+        return reject(shared, count, request, &record, Vec::new(), &error);
     }
     let service_start = Instant::now();
-    let outcome = execute_line(shared, request);
+    let outcome = key
+        .clone()
+        .and_then(|key| respond(shared, request, cfg, key));
     let service = service_start.elapsed();
     obs::histogram!("serve_service_ns").record_duration_traced(service);
     record.service_ns = Some(service.as_nanos() as u64);
     // The request started in time but may have *finished* late: answer it
     // anyway (the work is done), but mark and count it so the
     // deadline_expired report stays truthful.
-    let late = deadline.is_some_and(|deadline| accepted.elapsed() > deadline);
-    if late {
+    let mut extra: Vec<(&str, Json)> = Vec::new();
+    if deadline.is_some_and(|deadline| accepted.elapsed() > deadline) {
         shared.deadline_expired.fetch_add(1, Ordering::Relaxed);
         obs::counter!("serve_deadline_expired_total").inc();
         record.deadline_exceeded = true;
-    }
-    let mut extra: Vec<(&str, Json)> = Vec::new();
-    if late {
         extra.push(("deadline_exceeded", Json::Bool(true)));
     }
-    if client_traced {
-        extra.push(proto::trace_extra(&trace));
-    }
     match outcome {
-        Ok(LineOutcome {
-            data,
-            origin,
-            session_key,
-        }) => {
+        Ok((data, origin)) => {
             shared.served.fetch_add(1, Ordering::Relaxed);
             obs::counter!("serve_served_total").inc();
+            // Client-supplied trace ids are echoed in the response;
+            // server-originated ones are not, so untraced repeats stay
+            // byte-identical.
+            extra.extend(request.trace.as_ref().map(proto::trace_extra));
             if origin == Origin::Store {
                 extra.push(("source", Json::str("store")));
             }
             record.outcome = origin.as_str();
-            record.session_key = session_key;
+            record.session_key = key.ok();
             shared.audit(&record);
-            proto::ok_response_with(id, request.op.name(), data, extra)
+            proto::ok_response_with(&request.id, request.op.name(), data, extra)
         }
         Err(e) => {
-            shared.request_errors.fetch_add(1, Ordering::Relaxed);
-            obs::counter!("serve_request_errors_total").inc();
-            shared.audit(&record);
-            proto::err_response_with(id, &e, extra)
+            let count = (
+                &shared.request_errors,
+                obs::counter!("serve_request_errors_total"),
+            );
+            reject(shared, count, request, &record, extra, &e)
         }
     }
+}
+
+/// Counts a failed request on `count` (a server counter and its registry
+/// twin), audits `record`, and renders the typed error line: `extra`, then
+/// the client's trace id if it sent one.
+fn reject(
+    shared: &Shared,
+    count: (&AtomicU64, &obs::metrics::Counter),
+    request: &Request,
+    record: &AccessRecord,
+    mut extra: Vec<(&str, Json)>,
+    error: &ProtoError,
+) -> String {
+    count.0.fetch_add(1, Ordering::Relaxed);
+    count.1.inc();
+    shared.audit(record);
+    extra.extend(request.trace.as_ref().map(proto::trace_extra));
+    proto::err_response_with(&request.id, error, extra)
 }
 
 /// Where a request's answer came from, in decreasing order of warmth.
@@ -651,177 +657,133 @@ impl Origin {
     }
 }
 
-struct LineOutcome {
-    data: Json,
-    origin: Origin,
-    session_key: Option<u64>,
-}
-
-fn execute_line(shared: &Shared, request: &Request) -> Result<LineOutcome, ProtoError> {
-    if let Op::Batch(cfg, items) = &request.op {
-        return process_batch(shared, cfg, items, request);
-    }
-    let Some(cfg) = proto::op_config(&request.op) else {
-        // Control ops are answered before the gate (see dispatch).
-        return Err(ProtoError {
-            class: "internal",
-            message: "control op routed past the admission gate".to_string(),
-        });
-    };
-    let key = session_key(cfg).map_err(|e| ProtoError::from_flow(&e))?;
-    let op_hash = proto::op_hash(&request.op);
-    // Disk before session: a warm store answers without rebuilding
-    // anything, which is what makes restarts cheap.
-    if let Some(store) = &shared.store {
-        if let Some(data) = store.load(key, op_hash) {
-            return Ok(LineOutcome {
-                data,
-                origin: Origin::Store,
-                session_key: Some(key),
-            });
-        }
-    }
-    let (session, cache_hit) = shared
-        .engine
-        .session_with_origin(cfg)
-        .map_err(|e| ProtoError::from_flow(&e))?;
-    let data = proto::execute(&session, &request.op)?;
-    if let Some(store) = &shared.store {
-        store.save(key, op_hash, &data);
-    }
-    Ok(LineOutcome {
-        data,
-        origin: if cache_hit {
-            Origin::Cache
-        } else {
-            Origin::Cold
-        },
-        session_key: Some(key),
-    })
-}
-
-/// Executes a `batch`: answer store-warm items from disk, acquire ONE
-/// session for the rest, and run those items one by one over it on the
-/// caller's thread, under the batch's one permit.
-fn process_batch(
+/// Renders an admitted request's data over its session `key`: a single op
+/// answers as itself, a `batch` wraps its items' answers in the envelope.
+fn respond(
     shared: &Shared,
-    cfg: &FlowConfig,
-    items: &[Op],
     request: &Request,
-) -> Result<LineOutcome, ProtoError> {
-    // The envelope's trace context (installed by `process`) covers every
-    // item's span and exemplars; the audit records carry its id too.
-    let trace = obs::trace::current().unwrap_or_default();
-    let key = session_key(cfg).map_err(|e| ProtoError::from_flow(&e))?;
-    let hashes: Vec<u64> = items.iter().map(proto::op_hash).collect();
-    let mut results: Vec<Option<Result<Json, ProtoError>>> = Vec::new();
-    results.resize_with(items.len(), || None);
-    let mut store_hits = 0u64;
-    let mut misses = Vec::new();
-    for i in 0..items.len() {
-        match shared.store.as_ref().and_then(|s| s.load(key, hashes[i])) {
-            Some(data) => {
-                results[i] = Some(Ok(data));
-                store_hits += 1;
-                shared.audit(&AccessRecord {
-                    trace_id: trace.trace_id,
-                    id: request.id.clone(),
-                    op: items[i].name(),
-                    outcome: "store",
-                    session_key: Some(key),
-                    queue_wait_ns: None,
-                    service_ns: None,
-                    deadline_exceeded: false,
-                    batch_index: Some(i),
-                });
-            }
-            None => misses.push(i),
-        }
-    }
-    let mut origin = Origin::Store;
-    if !misses.is_empty() {
-        let (session, cache_hit) = shared
-            .engine
-            .session_with_origin(cfg)
-            .map_err(|e| ProtoError::from_flow(&e))?;
-        origin = if cache_hit {
-            Origin::Cache
-        } else {
-            Origin::Cold
-        };
-        let computed: Vec<Result<Json, ProtoError>> = misses
-            .iter()
-            .map(|&i| {
-                let _span = obs::span!("serve.batch_item");
-                let start = Instant::now();
-                // A panicking item gets its own `internal` answer; its
-                // siblings are still run and answered.
-                let result = answer_or_internal(|| proto::execute(&session, &items[i]));
-                let service = start.elapsed();
-                obs::histogram!("serve_service_ns").record_duration_traced(service);
-                shared.audit(&AccessRecord {
-                    trace_id: trace.trace_id,
-                    id: request.id.clone(),
-                    op: items[i].name(),
-                    outcome: if result.is_ok() {
-                        origin.as_str()
-                    } else {
-                        "error"
-                    },
-                    session_key: Some(key),
-                    queue_wait_ns: None,
-                    service_ns: Some(service.as_nanos() as u64),
-                    deadline_exceeded: false,
-                    batch_index: Some(i),
-                });
-                result
-            })
-            .collect();
-        for (&i, result) in misses.iter().zip(computed) {
-            if let (Some(store), Ok(data)) = (&shared.store, &result) {
-                store.save(key, hashes[i], data);
-            }
-            results[i] = Some(result);
-        }
-    }
-    let mut out = Vec::with_capacity(items.len());
-    let mut item_errors = 0u64;
-    for (op, result) in items.iter().zip(results) {
-        let result = result.expect("every item resolved");
-        out.push(match result {
+    cfg: &FlowConfig,
+    key: u64,
+) -> Result<(Json, Origin), ProtoError> {
+    let Op::Batch(_, items) = &request.op else {
+        let mut answers = answer(shared, request, cfg, key, slice::from_ref(&request.op))?;
+        return Ok((answers.results.remove(0)?, answers.origin));
+    };
+    let answers = answer(shared, request, cfg, key, items)?;
+    let item_errors = answers.results.iter().filter(|r| r.is_err()).count();
+    let out = items
+        .iter()
+        .zip(answers.results)
+        .map(|(op, result)| match result {
             Ok(data) => Json::obj(vec![
                 ("ok", Json::Bool(true)),
                 ("op", Json::str(op.name())),
                 ("data", data),
             ]),
-            Err(e) => {
-                item_errors += 1;
-                Json::obj(vec![
-                    ("ok", Json::Bool(false)),
-                    ("op", Json::str(op.name())),
-                    (
-                        "error",
-                        Json::obj(vec![
-                            ("class", Json::str(e.class)),
-                            ("message", Json::str(e.message)),
-                        ]),
-                    ),
-                ])
-            }
-        });
-    }
+            Err(e) => Json::obj(vec![
+                ("ok", Json::Bool(false)),
+                ("op", Json::str(op.name())),
+                (
+                    "error",
+                    Json::obj(vec![
+                        ("class", Json::str(e.class)),
+                        ("message", Json::str(e.message)),
+                    ]),
+                ),
+            ]),
+        })
+        .collect();
     obs::counter!("serve_batch_items_total").add(items.len() as u64);
     let data = Json::obj(vec![
         ("count", Json::Num(items.len() as f64)),
         ("item_errors", Json::Num(item_errors as f64)),
-        ("store_hits", Json::Num(store_hits as f64)),
+        ("store_hits", Json::Num(answers.store_hits as f64)),
         ("session_key", Json::str(format!("{key:016x}"))),
         ("items", Json::Arr(out)),
     ]);
-    Ok(LineOutcome {
-        data,
+    Ok((data, answers.origin))
+}
+
+/// What [`answer`] made of a request's ops.
+struct Answers {
+    /// One result per op, in order.
+    results: Vec<Result<Json, ProtoError>>,
+    /// The store only when every op was on disk, else the session's.
+    origin: Origin,
+    store_hits: usize,
+}
+
+/// The one path that answers analysis ops over the session `key` names:
+/// answer each op from the store when it is there, acquire at most one
+/// session for the rest, run each of those (a panic becomes its own
+/// `internal` answer, siblings still run), and save each success. The
+/// items of a `batch` get a span, a service-time sample and an audit
+/// record each; a single op is measured and audited as the request.
+fn answer(
+    shared: &Shared,
+    request: &Request,
+    cfg: &FlowConfig,
+    key: u64,
+    ops: &[Op],
+) -> Result<Answers, ProtoError> {
+    let batch = matches!(request.op, Op::Batch(..));
+    // The request's trace context (installed by `process`) covers every
+    // item's span and exemplars; the audit records carry its id too.
+    let trace = obs::trace::current().unwrap_or_default();
+    let audit_item = |i: usize, outcome, service_ns| {
+        if batch {
+            shared.audit(&AccessRecord {
+                session_key: Some(key),
+                service_ns,
+                batch_index: Some(i),
+                ..AccessRecord::new(trace.trace_id, &request.id, ops[i].name(), outcome)
+            });
+        }
+    };
+    // Disk before session: a warm store answers without rebuilding
+    // anything, which is what makes restarts cheap.
+    let hashes: Vec<u64> = ops.iter().map(proto::op_hash).collect();
+    let mut answers: Vec<Option<Result<Json, ProtoError>>> = hashes
+        .iter()
+        .enumerate()
+        .map(|(i, &hash)| {
+            let data = shared.store.as_ref()?.load(key, hash)?;
+            audit_item(i, "store", None);
+            Some(Ok(data))
+        })
+        .collect();
+    let store_hits = answers.iter().flatten().count();
+    let mut origin = Origin::Store;
+    if store_hits < ops.len() {
+        let (session, cache_hit) = shared.engine.session_for_key(key, cfg)?;
+        origin = if cache_hit {
+            Origin::Cache
+        } else {
+            Origin::Cold
+        };
+        for (i, slot) in answers.iter_mut().enumerate() {
+            if slot.is_some() {
+                continue;
+            }
+            let _span = batch.then(|| obs::span!("serve.batch_item"));
+            let start = Instant::now();
+            let result = answer_or_internal(|| proto::execute(&session, &ops[i]));
+            let service = start.elapsed();
+            if batch {
+                obs::histogram!("serve_service_ns").record_duration_traced(service);
+            }
+            let outcome = result.as_ref().map_or("error", |_| origin.as_str());
+            audit_item(i, outcome, Some(service.as_nanos() as u64));
+            if let (Some(store), Ok(data)) = (&shared.store, &result) {
+                store.save(key, hashes[i], data);
+            }
+            *slot = Some(result);
+        }
+    }
+    Ok(Answers {
+        results: answers.into_iter().flatten().collect(),
         origin,
-        session_key: Some(key),
+        store_hits,
     })
 }
 
@@ -850,12 +812,12 @@ fn handle_connection(stream: TcpStream, shared: &Shared) {
                 obs::counter!("serve_too_large_total").inc();
                 let response = proto::err_response(
                     &Json::Null,
-                    &ProtoError {
-                        class: "too-large",
-                        message: format!(
+                    &ProtoError::new(
+                        "too-large",
+                        format!(
                             "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
                         ),
-                    },
+                    ),
                 );
                 // The rest of the line is never read: answer, then close.
                 let _ = writer
@@ -933,7 +895,7 @@ fn route_response(
     cfg: &FlowConfig,
     spec: &proto::RouteSpec,
 ) -> Result<Json, ProtoError> {
-    let key = session_key(cfg).map_err(|e| ProtoError::from_flow(&e))?;
+    let key = session_key(cfg)?;
     let request_ring = match &spec.ring {
         Some(nodes) => {
             let replicas = spec.replicas.unwrap_or_else(|| {
@@ -942,10 +904,10 @@ fn route_response(
                     .as_ref()
                     .map_or(DEFAULT_REPLICAS, Ring::replicas)
             });
-            Some(Ring::new(nodes, replicas).ok_or(ProtoError {
-                class: "usage",
-                message: "route: ring has no usable nodes".to_string(),
-            })?)
+            Some(
+                Ring::new(nodes, replicas)
+                    .ok_or(ProtoError::new("usage", "route: ring has no usable nodes"))?,
+            )
         }
         None => None,
     };
@@ -953,12 +915,10 @@ fn route_response(
         match (&request_ring, &shared.ring) {
             (Some(r), _) => r,
             (None, Some(r)) => r,
-            (None, None) => return Err(ProtoError {
-                class: "usage",
-                message:
-                    "route: no ring configured; pass \"ring\":[...] or start the server with --ring"
-                        .to_string(),
-            }),
+            (None, None) => return Err(ProtoError::new(
+                "usage",
+                "route: no ring configured; pass \"ring\":[...] or start the server with --ring",
+            )),
         };
     let shard = ring.shard_of(key);
     Ok(Json::obj(vec![
@@ -976,61 +936,49 @@ fn route_response(
     ]))
 }
 
-/// Rejects an analysis request whose session another fleet member owns.
-/// Returns the pre-built error response, or `None` when the request is
-/// local (or the key cannot be resolved here — `process` will produce
-/// the proper typed error instead).
+/// Rejects an analysis request whose session `key` another fleet member
+/// owns. Returns the pre-built error response, or `None` when the request
+/// is local.
 fn wrong_shard_rejection(
     shared: &Shared,
-    id: &Json,
-    op: &Op,
+    request: &Request,
     trace: TraceContext,
-    client_traced: bool,
+    key: u64,
 ) -> Option<String> {
     let (ring, self_node) = (shared.ring.as_ref()?, shared.self_node.as_deref()?);
-    let key = session_key(proto::op_config(op)?).ok()?;
     let shard = ring.shard_of(key);
     if shard == self_node {
         return None;
     }
-    shared.wrong_shard.fetch_add(1, Ordering::Relaxed);
-    obs::counter!("serve_wrong_shard_total").inc();
     // The redirect is audited here with the same trace id the client will
     // carry to the owning node — one id on both sides of the redirect.
-    shared.audit(&AccessRecord {
-        trace_id: trace.trace_id,
-        id: id.clone(),
-        op: op.name(),
-        outcome: "wrong-shard",
+    let record = AccessRecord {
         session_key: Some(key),
-        queue_wait_ns: None,
-        service_ns: None,
-        deadline_exceeded: false,
-        batch_index: None,
-    });
-    let mut extra = vec![
+        ..AccessRecord::new(
+            trace.trace_id,
+            &request.id,
+            request.op.name(),
+            "wrong-shard",
+        )
+    };
+    let extra = vec![
         ("shard", Json::str(shard)),
         ("session_key", Json::str(format!("{key:016x}"))),
     ];
-    if client_traced {
-        extra.push(proto::trace_extra(&trace));
-    }
-    Some(proto::err_response_with(
-        id,
-        &ProtoError {
-            class: "wrong-shard",
-            message: format!("session {key:016x} belongs to {shard}; re-send it there"),
-        },
-        extra,
-    ))
+    let error = ProtoError::new(
+        "wrong-shard",
+        format!("session {key:016x} belongs to {shard}; re-send it there"),
+    );
+    let count = (
+        &shared.wrong_shard,
+        obs::counter!("serve_wrong_shard_total"),
+    );
+    Some(reject(shared, count, request, &record, extra, &error))
 }
 
 /// The typed error a request or batch item gets when it panics.
 fn panicked() -> ProtoError {
-    ProtoError {
-        class: "internal",
-        message: "request panicked before it was answered".to_string(),
-    }
+    ProtoError::new("internal", "request panicked before it was answered")
 }
 
 /// Runs `f`, turning a panic inside it into the `internal` error.
@@ -1054,19 +1002,19 @@ fn dispatch(line: &str, shared: &Shared) -> String {
         .entry(request.op.name())
         .or_insert(0) += 1;
     obs::counter!("serve_requests_total").inc();
-    let id = request.id.clone();
+    let id = &request.id;
     match &request.op {
         // Control ops skip the gate: they must stay responsive while every
         // permit is held by a long optimization.
-        Op::Ping => proto::ok_response(&id, "ping", Json::obj(vec![("pong", Json::Bool(true))])),
-        Op::Stats => proto::ok_response(&id, "stats", shared.stats_json()),
+        Op::Ping => proto::ok_response(id, "ping", Json::obj(vec![("pong", Json::Bool(true))])),
+        Op::Stats => proto::ok_response(id, "stats", shared.stats_json()),
         Op::Metrics => proto::ok_response(
-            &id,
+            id,
             "metrics",
             proto::obs_metrics_json(&obs::Registry::global().snapshot()),
         ),
         Op::MetricsText => proto::ok_response(
-            &id,
+            id,
             "metrics_text",
             Json::obj(vec![
                 ("content_type", Json::str("text/plain; version=0.0.4")),
@@ -1074,102 +1022,95 @@ fn dispatch(line: &str, shared: &Shared) -> String {
             ]),
         ),
         Op::Route(cfg, spec) => match route_response(shared, cfg, spec) {
-            Ok(data) => proto::ok_response(&id, "route", data),
+            Ok(data) => proto::ok_response(id, "route", data),
             Err(e) => {
                 shared.request_errors.fetch_add(1, Ordering::Relaxed);
-                proto::err_response(&id, &e)
+                proto::err_response(id, &e)
             }
         },
         Op::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
             proto::ok_response(
-                &id,
+                id,
                 "shutdown",
                 Json::obj(vec![("draining", Json::Bool(true))]),
             )
         }
-        _ => {
-            // Adopt the client's trace context or originate one: every
-            // analysis request is traceable from this point on.
-            let trace = request.trace.unwrap_or_else(TraceContext::new);
-            let client_traced = request.trace.is_some();
-            if shared.draining() {
-                return proto::err_response(
-                    &id,
-                    &ProtoError {
-                        class: "shutdown",
-                        message: "server is draining; request rejected".to_string(),
-                    },
-                );
-            }
-            if let Some(rejection) =
-                wrong_shard_rejection(shared, &id, &request.op, trace, client_traced)
-            {
-                return rejection;
-            }
-            let deadline = request
-                .deadline_ms
-                .map(Duration::from_millis)
-                .or(shared.default_deadline);
-            let accepted = Instant::now();
-            let Some(_permit) = shared.admission.admit() else {
-                shared.busy_rejected.fetch_add(1, Ordering::Relaxed);
-                obs::counter!("serve_busy_rejected_total").inc();
-                shared.audit(&AccessRecord {
-                    trace_id: trace.trace_id,
-                    id: id.clone(),
-                    op: request.op.name(),
-                    outcome: "busy",
-                    session_key: None,
-                    queue_wait_ns: None,
-                    service_ns: None,
-                    deadline_exceeded: false,
-                    batch_index: None,
-                });
-                let mut extra: Vec<(&str, Json)> = Vec::new();
-                if client_traced {
-                    extra.push(proto::trace_extra(&trace));
-                }
-                return proto::err_response_with(
-                    &id,
-                    &ProtoError {
-                        class: "busy",
-                        message: format!(
-                            "queue at high-water mark ({} requests); retry later",
-                            shared.admission.queue_depth
-                        ),
-                    },
-                    extra,
-                );
-            };
-            // The permit is released when `_permit` drops, unwinding
-            // included; the client still gets a typed answer, counted and
-            // audited like any other failed request.
-            catch_unwind(AssertUnwindSafe(|| {
-                process(shared, &request, trace, accepted, deadline)
-            }))
-            .unwrap_or_else(|_| {
-                shared.request_errors.fetch_add(1, Ordering::Relaxed);
-                obs::counter!("serve_request_errors_total").inc();
-                shared.audit(&AccessRecord {
-                    trace_id: trace.trace_id,
-                    id: id.clone(),
-                    op: request.op.name(),
-                    outcome: "error",
-                    session_key: None,
-                    queue_wait_ns: None,
-                    service_ns: None,
-                    deadline_exceeded: false,
-                    batch_index: None,
-                });
-                let mut extra: Vec<(&str, Json)> = Vec::new();
-                if client_traced {
-                    extra.push(proto::trace_extra(&trace));
-                }
-                proto::err_response_with(&id, &panicked(), extra)
-            })
-        }
+        Op::Comparison(cfg)
+        | Op::Sweep(cfg, _)
+        | Op::YieldCurves(cfg, _)
+        | Op::McValidation(cfg)
+        | Op::Distribution(cfg, _)
+        | Op::Ablation(cfg)
+        | Op::Batch(cfg, _) => admit_and_process(shared, &request, cfg),
     }
+}
+
+/// Takes an analysis request through the gate: drain and shard checks,
+/// admission, then [`process`] with a panic turned into a typed answer.
+/// The session key is computed here, once, and used by the shard check,
+/// the store and the engine alike.
+fn admit_and_process(shared: &Shared, request: &Request, cfg: &FlowConfig) -> String {
+    // Adopt the client's trace context or originate one: every analysis
+    // request is traceable from this point on.
+    let trace = request.trace.unwrap_or_default();
+    if shared.draining() {
+        return proto::err_response(
+            &request.id,
+            &ProtoError::new("shutdown", "server is draining; request rejected"),
+        );
+    }
+    let key = answer_or_internal(|| Ok(session_key(cfg)?));
+    // A key that cannot be resolved is answered by `process` with its
+    // typed error, after admission like any other failed request.
+    if let Some(rejection) = key
+        .as_ref()
+        .ok()
+        .and_then(|&key| wrong_shard_rejection(shared, request, trace, key))
+    {
+        return rejection;
+    }
+    let deadline = request
+        .deadline_ms
+        .map(Duration::from_millis)
+        .or(shared.default_deadline);
+    let accepted = Instant::now();
+    let record =
+        |outcome| AccessRecord::new(trace.trace_id, &request.id, request.op.name(), outcome);
+    let Some(_permit) = shared.admission.admit() else {
+        let error = ProtoError::new(
+            "busy",
+            format!(
+                "queue at high-water mark ({} requests); retry later",
+                shared.admission.queue_depth
+            ),
+        );
+        let count = (
+            &shared.busy_rejected,
+            obs::counter!("serve_busy_rejected_total"),
+        );
+        return reject(shared, count, request, &record("busy"), Vec::new(), &error);
+    };
+    // The permit is released when `_permit` drops, unwinding included;
+    // the client still gets a typed answer, counted and audited like any
+    // other failed request.
+    catch_unwind(AssertUnwindSafe(|| {
+        process(shared, request, cfg, key, trace, accepted, deadline)
+    }))
+    .unwrap_or_else(|_| {
+        let count = (
+            &shared.request_errors,
+            obs::counter!("serve_request_errors_total"),
+        );
+        reject(
+            shared,
+            count,
+            request,
+            &record("error"),
+            Vec::new(),
+            &panicked(),
+        )
+    })
 }
 
 #[cfg(test)]
@@ -1189,6 +1130,15 @@ mod tests {
         response.trim().to_string()
     }
 
+    /// Binds `config` and runs the server on its own thread, with a
+    /// shutdown flag of its own.
+    fn start(config: &ServeConfig) -> (SocketAddr, std::thread::JoinHandle<ServeReport>) {
+        let shutdown = Box::leak(Box::new(AtomicBool::new(false)));
+        let server = Server::bind(config, shutdown).expect("bind");
+        let addr = server.local_addr();
+        (addr, std::thread::spawn(move || server.run().expect("run")))
+    }
+
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "statleak-serve-test-{tag}-{}-{:?}",
@@ -1201,16 +1151,13 @@ mod tests {
 
     #[test]
     fn serves_ping_stats_and_drains_on_shutdown_request() {
-        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             queue_depth: 4,
             ..Default::default()
         };
-        let server = Server::bind(&config, &SHUTDOWN).expect("bind");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("run"));
+        let (addr, handle) = start(&config);
 
         let pong = request(addr, r#"{"id":1,"op":"ping"}"#);
         assert_eq!(
@@ -1257,20 +1204,16 @@ mod tests {
         assert_eq!(report.request_errors, 1);
         assert_eq!(report.protocol_errors, 1);
         assert!(report.connections >= 6);
-        SHUTDOWN.store(false, Ordering::SeqCst);
     }
 
     #[test]
     fn overlong_line_is_refused_too_large_and_serving_goes_on() {
-        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
             ..Default::default()
         };
-        let server = Server::bind(&config, &SHUTDOWN).expect("bind");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("run"));
+        let (addr, handle) = start(&config);
 
         // 2 MiB without a newline. The server stops reading at the cap and
         // closes, so the tail of the write may fail; the answer must come.
@@ -1302,16 +1245,13 @@ mod tests {
 
     #[test]
     fn expired_deadline_is_reported_not_executed() {
-        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
             queue_depth: 8,
             ..Default::default()
         };
-        let server = Server::bind(&config, &SHUTDOWN).expect("bind");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("run"));
+        let (addr, handle) = start(&config);
 
         // Take the single permit, then trail a request whose deadline has
         // certainly passed by the time the permit frees up.
@@ -1333,21 +1273,17 @@ mod tests {
         request(addr, r#"{"op":"shutdown"}"#);
         let report = handle.join().expect("server thread");
         assert_eq!(report.deadline_expired, 1);
-        SHUTDOWN.store(false, Ordering::SeqCst);
     }
 
     #[test]
     fn late_finishing_request_is_answered_but_marked() {
-        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
             queue_depth: 8,
             ..Default::default()
         };
-        let server = Server::bind(&config, &SHUTDOWN).expect("bind");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("run"));
+        let (addr, handle) = start(&config);
 
         // The deadline is alive at admission (nothing waits ahead; 250 ms
         // leaves room for a loaded host's wait) but certainly expired
@@ -1366,21 +1302,17 @@ mod tests {
         let report = handle.join().expect("server thread");
         assert_eq!(report.deadline_expired, 1);
         assert_eq!(report.served, 1);
-        SHUTDOWN.store(false, Ordering::SeqCst);
     }
 
     #[test]
     fn queued_batch_items_do_not_count_toward_the_high_water_mark() {
-        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
             queue_depth: 1,
             ..Default::default()
         };
-        let server = Server::bind(&config, &SHUTDOWN).expect("bind");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("run"));
+        let (addr, handle) = start(&config);
 
         // The batch takes the only permit, then acquires its (cold c880)
         // session; its two items run under that one permit.
@@ -1420,7 +1352,6 @@ mod tests {
         request(addr, r#"{"op":"shutdown"}"#);
         let report = handle.join().expect("server thread");
         assert_eq!(report.busy_rejected, 0);
-        SHUTDOWN.store(false, Ordering::SeqCst);
     }
 
     /// Holds `gate`'s permits on `n` threads that queue one at a time, so
@@ -1503,16 +1434,13 @@ mod tests {
 
     #[test]
     fn batch_under_one_worker_never_runs_two_items_at_once() {
-        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 1,
             queue_depth: 4,
             ..Default::default()
         };
-        let server = Server::bind(&config, &SHUTDOWN).expect("bind");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("run"));
+        let (addr, handle) = start(&config);
 
         // Only spans carrying this batch's trace id are inspected, so other
         // tests recording concurrently cannot disturb the check.
@@ -1560,21 +1488,17 @@ mod tests {
 
         request(addr, r#"{"op":"shutdown"}"#);
         handle.join().expect("server thread");
-        SHUTDOWN.store(false, Ordering::SeqCst);
     }
 
     #[test]
     fn batch_acquires_one_session_and_answers_every_item() {
-        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
             queue_depth: 16,
             ..Default::default()
         };
-        let server = Server::bind(&config, &SHUTDOWN).expect("bind");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("run"));
+        let (addr, handle) = start(&config);
 
         let batch = request(
             addr,
@@ -1601,12 +1525,65 @@ mod tests {
         let report = handle.join().expect("server thread");
         assert_eq!(report.served, 2);
         assert_eq!(report.request_errors, 0);
-        SHUTDOWN.store(false, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn single_request_and_one_item_batch_share_one_answer_path() {
+        let dir = tmp_dir("one-path");
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let log_path = dir.join("access.log");
+        let config = ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            access_log: Some(log_path.to_string_lossy().into_owned()),
+            ..Default::default()
+        };
+        let (addr, handle) = start(&config);
+
+        // The single response is `{"id":1,"ok":true,"op":"ablation","data":D}`;
+        // the batch must carry the very bytes D as its one item's data.
+        let single = request(
+            addr,
+            r#"{"id":1,"op":"ablation","benchmark":"c17","mc_samples":0}"#,
+        );
+        let data = single
+            .strip_prefix(r#"{"id":1,"ok":true,"op":"ablation","data":"#)
+            .and_then(|rest| rest.strip_suffix('}'))
+            .expect("plain single response");
+        let batch = request(
+            addr,
+            r#"{"id":2,"op":"batch","benchmark":"c17","mc_samples":0,"items":[{"op":"ablation"}]}"#,
+        );
+        assert!(
+            batch.contains(&format!(
+                r#""items":[{{"ok":true,"op":"ablation","data":{data}}}]"#
+            )),
+            "{batch}"
+        );
+        let stats = request(addr, r#"{"op":"stats"}"#);
+        assert!(stats.contains(r#""misses":1"#), "{stats}");
+        assert!(stats.contains(r#""hits":1"#), "{stats}");
+
+        request(addr, r#"{"op":"shutdown"}"#);
+        handle.join().expect("server thread");
+
+        let text = std::fs::read_to_string(&log_path).expect("access log");
+        let ablation: Vec<&str> = text
+            .lines()
+            .filter(|l| l.contains(r#""op":"ablation""#))
+            .collect();
+        assert_eq!(ablation.len(), 2, "{text}");
+        let (single, item) = (ablation[0], ablation[1]);
+        assert!(single.contains(r#""queue_wait_ns""#), "{single}");
+        assert!(single.contains(r#""service_ns""#), "{single}");
+        assert!(!single.contains("batch_index"), "{single}");
+        assert!(item.contains(r#""batch_index":0"#), "{item}");
+        assert!(!item.contains("queue_wait_ns"), "{item}");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn store_answers_repeats_without_a_session() {
-        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
         let dir = tmp_dir("warm");
         let config = ServeConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -1615,9 +1592,7 @@ mod tests {
             store_dir: Some(dir.to_string_lossy().into_owned()),
             ..Default::default()
         };
-        let server = Server::bind(&config, &SHUTDOWN).expect("bind");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("run"));
+        let (addr, handle) = start(&config);
 
         let line = r#"{"id":1,"op":"comparison","benchmark":"c17","mc_samples":0}"#;
         let first = request(addr, line);
@@ -1634,13 +1609,11 @@ mod tests {
 
         request(addr, r#"{"op":"shutdown"}"#);
         handle.join().expect("server thread");
-        SHUTDOWN.store(false, Ordering::SeqCst);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn routes_sessions_and_rejects_wrong_shard() {
-        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
         // Work out which of two nodes owns the c17 session, then start a
         // server claiming to be the OTHER node.
         let line = r#"{"id":7,"op":"comparison","benchmark":"c17","mc_samples":0}"#;
@@ -1660,9 +1633,7 @@ mod tests {
             self_node: Some(other.clone()),
             ..Default::default()
         };
-        let server = Server::bind(&config, &SHUTDOWN).expect("bind");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("run"));
+        let (addr, handle) = start(&config);
 
         // The analysis op is rejected with the owner's name.
         let rejected = request(addr, line);
@@ -1693,7 +1664,6 @@ mod tests {
         request(addr, r#"{"op":"shutdown"}"#);
         let report = handle.join().expect("server thread");
         assert_eq!(report.wrong_shard, 1);
-        SHUTDOWN.store(false, Ordering::SeqCst);
 
         // A self node outside the ring is a bind-time error.
         static SHUTDOWN2: AtomicBool = AtomicBool::new(false);
@@ -1708,7 +1678,6 @@ mod tests {
 
     #[test]
     fn traced_requests_echo_ids_and_write_the_access_log() {
-        static SHUTDOWN: AtomicBool = AtomicBool::new(false);
         let dir = tmp_dir("audit");
         std::fs::create_dir_all(&dir).expect("mkdir");
         let log_path = dir.join("access.log");
@@ -1719,9 +1688,7 @@ mod tests {
             access_log: Some(log_path.to_string_lossy().into_owned()),
             ..Default::default()
         };
-        let server = Server::bind(&config, &SHUTDOWN).expect("bind");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("run"));
+        let (addr, handle) = start(&config);
 
         // A client-supplied trace id is echoed zero-padded to 32 digits.
         let hex = "00000000000000000000000000000abc";
@@ -1754,7 +1721,6 @@ mod tests {
 
         request(addr, r#"{"op":"shutdown"}"#);
         handle.join().expect("server thread");
-        SHUTDOWN.store(false, Ordering::SeqCst);
 
         let text = std::fs::read_to_string(&log_path).expect("access log");
         let lines: Vec<&str> = text.lines().collect();

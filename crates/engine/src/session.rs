@@ -5,7 +5,10 @@
 //! [`FlowConfig`] knobs. A [`Session`] wraps the immutable prepared
 //! [`Setup`] behind an `Arc` and exposes every experiment flow as a
 //! method; results are memoized per session, so a warm request skips both
-//! `prepare()` and the optimization itself.
+//! `prepare()` and the optimization itself. Each method is a memo key (the
+//! op name plus its parameters) and a closure over the matching
+//! `flows::*_on` function, handed to one generic `memoized::<T>` that
+//! stores the result type-erased and downcasts it back.
 //!
 //! All flows are deterministic (seeded Monte Carlo, ordered reductions),
 //! which is what makes memoization sound: a cache hit returns exactly the
@@ -20,6 +23,7 @@ use statleak_core::flows::{
 use statleak_netlist::bench;
 use statleak_obs as obs;
 use statleak_tech::{Design, Technology};
+use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -52,20 +56,13 @@ struct SessionInner {
     key: u64,
     cfg: FlowConfig,
     setup: Setup,
-    memo: Mutex<HashMap<u64, Arc<OnceLock<MemoValue>>>>,
+    memo: Mutex<HashMap<u64, Arc<MemoSlot>>>,
 }
 
-/// Memoized result of one flow operation (errors are deterministic too,
-/// so they are cached alongside successes).
-#[derive(Clone)]
-enum MemoValue {
-    Comparison(Box<Result<ComparisonOutcome, FlowError>>),
-    Sweep(Result<Vec<SweepPoint>, FlowError>),
-    YieldCurves(Result<Vec<(f64, f64, f64, f64)>, FlowError>),
-    McValidation(Result<McValidation, FlowError>),
-    Distribution(Result<DistributionData, FlowError>),
-    Ablation(Result<Vec<AblationRow>, FlowError>),
-}
+/// One memoized flow result, type-erased: the op name leads every memo
+/// key, so a key always holds the one result type its method stores.
+/// Errors are deterministic too, so they are cached alongside successes.
+type MemoSlot = OnceLock<Arc<dyn Any + Send + Sync>>;
 
 /// A prepared, immutable analysis session over one `(netlist, tech,
 /// config)` triple.
@@ -104,41 +101,37 @@ impl Session {
         &self.inner.setup
     }
 
-    /// Fetches or creates the memo slot for `key`; `None` when the memo
-    /// table is saturated (the caller computes without caching).
-    fn memo_slot(&self, key: u64) -> Option<Arc<OnceLock<MemoValue>>> {
-        let mut memo = self.inner.memo.lock().expect("memo lock");
-        if let Some(slot) = memo.get(&key) {
-            return Some(slot.clone());
-        }
-        if memo.len() >= MEMO_CAP {
-            return None;
-        }
-        let slot = Arc::new(OnceLock::new());
-        memo.insert(key, slot.clone());
-        Some(slot)
-    }
-
-    /// Memoizes `compute` under `key`. Concurrent callers racing on a
-    /// cold slot block until the first finishes, then share its result.
-    fn memoized(&self, key: u64, compute: impl FnOnce() -> MemoValue) -> MemoValue {
-        match self.memo_slot(key) {
-            Some(slot) => {
-                if slot.get().is_some() {
-                    self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                    obs::counter!("engine_memo_hits_total").inc();
-                }
-                slot.get_or_init(compute).clone()
-            }
-            None => compute(),
-        }
-    }
-
-    fn op_key(&self, op: &str, params: impl FnOnce(&mut ContentHasher)) -> u64 {
+    /// Memoizes `compute` under the key hashed from `op` and `params`.
+    /// Concurrent callers racing on a cold slot block until the first
+    /// finishes, then share its result.
+    fn memoized<T: Clone + Send + Sync + 'static>(
+        &self,
+        op: &str,
+        params: impl FnOnce(&mut ContentHasher),
+        compute: impl FnOnce(&Setup, &FlowConfig) -> T,
+    ) -> T {
         let mut h = ContentHasher::new();
         h.str(op);
         params(&mut h);
-        h.finish()
+        let key = h.finish();
+        let compute = || compute(&self.inner.setup, &self.inner.cfg);
+        let slot = {
+            let mut memo = self.inner.memo.lock().expect("memo lock");
+            // Past the cap, further distinct requests compute uncached.
+            (memo.len() < MEMO_CAP || memo.contains_key(&key))
+                .then(|| Arc::clone(memo.entry(key).or_default()))
+        };
+        let Some(slot) = slot else {
+            return compute();
+        };
+        if slot.get().is_some() {
+            self.memo_hits.fetch_add(1, Ordering::Relaxed);
+            obs::counter!("engine_memo_hits_total").inc();
+        }
+        slot.get_or_init(|| Arc::new(compute()))
+            .downcast_ref::<T>()
+            .expect("a memo key holds the one type its op stores")
+            .clone()
     }
 
     /// The headline three-way comparison (table T2).
@@ -147,16 +140,7 @@ impl Session {
     ///
     /// Returns [`FlowError`] on infeasible sizing.
     pub fn run_comparison(&self) -> Result<ComparisonOutcome, FlowError> {
-        let key = self.op_key("comparison", |_| {});
-        match self.memoized(key, || {
-            MemoValue::Comparison(Box::new(flows::run_comparison_on(
-                &self.inner.setup,
-                &self.inner.cfg,
-            )))
-        }) {
-            MemoValue::Comparison(r) => *r,
-            _ => flows::run_comparison_on(&self.inner.setup, &self.inner.cfg),
-        }
+        self.memoized("comparison", |_| {}, flows::run_comparison_on)
     }
 
     /// A parameter sweep over either axis (tables T3/F2, figure F4).
@@ -165,18 +149,15 @@ impl Session {
     ///
     /// Propagates [`FlowError`]; infeasible points are skipped.
     pub fn sweep(&self, spec: &SweepSpec) -> Result<Vec<SweepPoint>, FlowError> {
-        let key = self.op_key("sweep", |h| {
+        let params = |h: &mut ContentHasher| {
             h.str(spec.axis());
             for &x in spec.values() {
                 h.f64(x);
             }
-        });
-        match self.memoized(key, || {
-            MemoValue::Sweep(flows::sweep_on(&self.inner.setup, &self.inner.cfg, spec))
-        }) {
-            MemoValue::Sweep(r) => r,
-            _ => flows::sweep_on(&self.inner.setup, &self.inner.cfg, spec),
-        }
+        };
+        self.memoized("sweep", params, |setup, cfg| {
+            flows::sweep_on(setup, cfg, spec)
+        })
     }
 
     /// Yield-vs-clock curves (figure F3).
@@ -185,21 +166,14 @@ impl Session {
     ///
     /// Propagates [`FlowError`].
     pub fn yield_curves(&self, t_grid: &[f64]) -> Result<Vec<(f64, f64, f64, f64)>, FlowError> {
-        let key = self.op_key("yield_curves", |h| {
+        let params = |h: &mut ContentHasher| {
             for &x in t_grid {
                 h.f64(x);
             }
-        });
-        match self.memoized(key, || {
-            MemoValue::YieldCurves(flows::yield_curves_on(
-                &self.inner.setup,
-                &self.inner.cfg,
-                t_grid,
-            ))
-        }) {
-            MemoValue::YieldCurves(r) => r,
-            _ => flows::yield_curves_on(&self.inner.setup, &self.inner.cfg, t_grid),
-        }
+        };
+        self.memoized("yield_curves", params, |setup, cfg| {
+            flows::yield_curves_on(setup, cfg, t_grid)
+        })
     }
 
     /// Analytical-vs-Monte-Carlo validation (table T4).
@@ -208,13 +182,7 @@ impl Session {
     ///
     /// Propagates [`FlowError`].
     pub fn mc_validation(&self) -> Result<McValidation, FlowError> {
-        let key = self.op_key("mc_validation", |_| {});
-        match self.memoized(key, || {
-            MemoValue::McValidation(flows::mc_validation_on(&self.inner.setup, &self.inner.cfg))
-        }) {
-            MemoValue::McValidation(r) => r,
-            _ => flows::mc_validation_on(&self.inner.setup, &self.inner.cfg),
-        }
+        self.memoized("mc_validation", |_| {}, flows::mc_validation_on)
     }
 
     /// Leakage-distribution data (figure F1).
@@ -223,13 +191,7 @@ impl Session {
     ///
     /// Propagates [`FlowError`].
     pub fn distribution(&self) -> Result<DistributionData, FlowError> {
-        let key = self.op_key("distribution", |_| {});
-        match self.memoized(key, || {
-            MemoValue::Distribution(flows::distribution_on(&self.inner.setup, &self.inner.cfg))
-        }) {
-            MemoValue::Distribution(r) => r,
-            _ => flows::distribution_on(&self.inner.setup, &self.inner.cfg),
-        }
+        self.memoized("distribution", |_| {}, flows::distribution_on)
     }
 
     /// Modeling ablations (experiment A1).
@@ -238,13 +200,7 @@ impl Session {
     ///
     /// Propagates [`FlowError`].
     pub fn ablation(&self) -> Result<Vec<AblationRow>, FlowError> {
-        let key = self.op_key("ablation", |_| {});
-        match self.memoized(key, || {
-            MemoValue::Ablation(flows::ablation_on(&self.inner.setup, &self.inner.cfg))
-        }) {
-            MemoValue::Ablation(r) => r,
-            _ => flows::ablation_on(&self.inner.setup, &self.inner.cfg),
-        }
+        self.memoized("ablation", |_| {}, flows::ablation_on)
     }
 
     /// Measures an arbitrary design against this session's clock target
@@ -338,7 +294,16 @@ impl Engine {
     ///
     /// Same as [`Engine::session`].
     pub fn session_with_origin(&self, cfg: &FlowConfig) -> Result<(Session, bool), FlowError> {
-        let key = session_key(cfg)?;
+        self.session_for_key(session_key(cfg)?, cfg)
+    }
+
+    /// [`Engine::session_with_origin`] for a caller that already holds
+    /// `key == session_key(cfg)`, so a request hashes its config once.
+    pub(crate) fn session_for_key(
+        &self,
+        key: u64,
+        cfg: &FlowConfig,
+    ) -> Result<(Session, bool), FlowError> {
         if let Some(inner) = self.cache.lock().expect("cache lock").get(key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             obs::counter!("engine_cache_hits_total").inc();

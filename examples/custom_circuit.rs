@@ -40,7 +40,14 @@ fn ripple_carry_adder(bits: usize) -> Result<Circuit, Box<dyn std::error::Error>
     Ok(b.build()?)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
+    if let Err(e) = run() {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    }
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let circuit = match std::env::args().nth(1) {
         Some(path) => {
             let text = std::fs::read_to_string(&path)?;
@@ -64,11 +71,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The flows' constructor places the circuit, builds its factor model,
-    // and sets the clock target from the minimum delay.
-    let cfg = FlowConfig::builder(circuit.name())
-        .slack_factor(1.15)
-        .eta(0.99)
-        .build()?;
+    // and sets the clock target from the minimum delay. The builder's
+    // defaults are the ones `statleak optimize` uses: T = 1.20·Dmin at a
+    // 95 % timing-yield target.
+    let cfg = FlowConfig::builder(circuit.name()).build()?;
     let Setup {
         base,
         fm,
@@ -76,7 +82,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         t_clk,
         ..
     } = Setup::new(circuit, &cfg)?;
-    println!("Dmin = {dmin:.1} ps, clock target = {t_clk:.1} ps, yield target 99%");
+    println!(
+        "Dmin = {dmin:.1} ps, clock target = {t_clk:.1} ps, yield target {:.0}%",
+        cfg.eta * 100.0
+    );
 
     let out = statistical_for_yield(&base, &fm, t_clk, cfg.eta)?;
     let r = &out.report;
