@@ -33,7 +33,7 @@
 
 use statleak_bench::checkpoint::{CellResult, Checkpoint};
 use statleak_bench::{full_suite, quick_suite};
-use statleak_core::flows::{DistKind, FlowConfig, FlowError, LibrarySpec, SweepSpec};
+use statleak_core::flows::{self, DistKind, FlowConfig, FlowError, LibrarySpec, SweepSpec};
 use statleak_core::report::{fmt_pct, fmt_power, Table};
 use statleak_engine::Engine;
 use statleak_netlist::benchmarks;
@@ -442,7 +442,6 @@ fn t5(ctx: &mut Ctx) {
     use statleak_core::joint::JointYield;
     use statleak_leakage::LeakageAnalysis;
     use statleak_mc::{McConfig, MonteCarlo};
-    use statleak_opt::sizing;
     use statleak_ssta::Ssta;
     println!("\n== T5: joint timing+leakage yield (bivariate model vs MC) ==");
     let mut t = Table::new(&[
@@ -460,8 +459,7 @@ fn t5(ctx: &mut Ctx) {
             let cfg = FlowConfig::builder(name).mc_samples(samples).build()?;
             let session = Engine::global().session(&cfg)?;
             let setup = session.setup();
-            let mut design = setup.base.clone();
-            sizing::size_for_yield(&mut design, &setup.fm, setup.t_clk, cfg.eta)?;
+            let design = flows::baseline_on(setup, &cfg)?;
             let j = JointYield::analyze(&design, &setup.fm);
             let ssta = Ssta::analyze(&design, &setup.fm);
             let t_clk = ssta.clock_for_yield(0.95);
@@ -634,10 +632,7 @@ fn f5(ctx: &mut Ctx) {
     let mut t = Table::new(&["accepted move", "objective (W)", "yield"]);
     ctx.cell("f5", name, &mut t, move || {
         let cfg = FlowConfig::builder(name).mc_samples(0).build()?;
-        let session = Engine::global().session(&cfg)?;
-        let setup = session.setup();
-        let out =
-            statleak_opt::statistical_for_yield(&setup.base, &setup.fm, setup.t_clk, cfg.eta)?;
+        let out = flows::statistical_on(Engine::global().session(&cfg)?.setup(), &cfg)?;
         // Subsample long traces to <= 200 rows.
         let trace = &out.report.trace;
         let step = (trace.len() / 200).max(1);
@@ -688,7 +683,6 @@ fn a1(ctx: &mut Ctx) {
 /// A2 — the triple-Vth extension: a third threshold flavor vs the paper's
 /// dual-Vth setup, at equal timing yield.
 fn a2(ctx: &mut Ctx) {
-    use statleak_opt::{statistical_flow, StatisticalOptimizer};
     use statleak_tech::VthClass;
     println!("\n== A2: dual-Vth vs triple-Vth statistical optimization ==");
     let circuits = if ctx.opts.quick {
@@ -710,19 +704,9 @@ fn a2(ctx: &mut Ctx) {
                 .slack_factor(1.12)
                 .build()?;
             let session = Engine::global().session(&cfg)?;
-            let setup = session.setup();
-            let dual = statistical_flow(
-                &setup.base,
-                &setup.fm,
-                &StatisticalOptimizer::new(setup.t_clk).with_yield_target(cfg.eta),
-            )?;
-            let triple = statistical_flow(
-                &setup.base,
-                &setup.fm,
-                &StatisticalOptimizer::new(setup.t_clk)
-                    .with_yield_target(cfg.eta)
-                    .with_triple_vth(),
-            )?;
+            let dual = flows::statistical_on(session.setup(), &cfg)?;
+            let triple_cfg = cfg.to_builder().triple_vth(true).build()?;
+            let triple = flows::statistical_on(session.setup(), &triple_cfg)?;
             Ok(vec![vec![
                 name.to_string(),
                 fmt_power(dual.report.final_objective),
@@ -745,7 +729,6 @@ fn a2(ctx: &mut Ctx) {
 /// optimized design (extension experiment).
 fn a3(ctx: &mut Ctx) {
     use statleak_mc::{AbbConfig, McConfig, MonteCarlo};
-    use statleak_opt::statistical_for_yield;
     use statleak_ssta::Ssta;
     println!("\n== A3: adaptive body bias on the optimized design ==");
     let circuits = if ctx.opts.quick {
@@ -767,7 +750,7 @@ fn a3(ctx: &mut Ctx) {
             let cfg = FlowConfig::builder(name).mc_samples(0).build()?;
             let session = Engine::global().session(&cfg)?;
             let setup = session.setup();
-            let out = statistical_for_yield(&setup.base, &setup.fm, setup.t_clk, cfg.eta)?;
+            let out = flows::statistical_on(setup, &cfg)?;
             // Stress the design at a clock tighter than it was built for, so
             // there are slow die for forward bias to rescue.
             let ssta = Ssta::analyze(&out.design, &setup.fm);

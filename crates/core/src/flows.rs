@@ -1,4 +1,7 @@
-//! The experiment flows.
+//! The experiment flows, and the one optimize path: every caller (the
+//! `*_on` flows, the CLI, serve, `repro`) gets its compared designs from
+//! [`baseline_on`], [`deterministic_on`] and [`statistical_on`], so a step
+//! added to one of them reaches every caller.
 
 use statleak_leakage::LeakageAnalysis;
 use statleak_mc::{
@@ -6,7 +9,10 @@ use statleak_mc::{
 };
 use statleak_netlist::{benchmarks, placement::Placement, Circuit};
 use statleak_obs as obs;
-use statleak_opt::{deterministic_for_yield, sizing, statistical_for_yield};
+use statleak_opt::{
+    deterministic_for_yield, sizing, statistical_flow, DetYieldOutcome, StatYieldOutcome,
+    StatisticalOptimizer,
+};
 use statleak_ssta::Ssta;
 use statleak_stats::{BinomialInterval, CholeskyError, Histogram};
 use statleak_tech::liberty::LibertyLoadError;
@@ -260,6 +266,9 @@ pub struct FlowConfig {
     /// The cell library every evaluation path reads through
     /// ([`LibrarySpec::Builtin`] by default).
     pub library: LibrarySpec,
+    /// Optimize over the triple-Vth ladder `[Low, Mid, High]` instead of
+    /// the paper's dual-Vth `[Low, High]` (see [`statistical_on`]).
+    pub triple_vth: bool,
 }
 
 impl FlowConfig {
@@ -277,7 +286,7 @@ impl FlowConfig {
     /// # Ok::<(), statleak_core::flows::ConfigError>(())
     /// ```
     pub fn builder(benchmark: impl Into<String>) -> FlowConfigBuilder {
-        FlowConfigBuilder {
+        FlowConfigBuilder(FlowConfig {
             benchmark: benchmark.into(),
             slack_factor: 1.20,
             eta: 0.95,
@@ -287,22 +296,13 @@ impl FlowConfig {
             mc_seed: McConfig::default().seed,
             wire_loads: false,
             library: LibrarySpec::Builtin,
-        }
+            triple_vth: false,
+        })
     }
 
     /// Re-opens this configuration as a builder (for derived configs).
     pub fn to_builder(&self) -> FlowConfigBuilder {
-        FlowConfigBuilder {
-            benchmark: self.benchmark.clone(),
-            slack_factor: self.slack_factor,
-            eta: self.eta,
-            variation: self.variation.clone(),
-            mc_samples: self.mc_samples,
-            mc_sampling: self.mc_sampling,
-            mc_seed: self.mc_seed,
-            wire_loads: self.wire_loads,
-            library: self.library.clone(),
-        }
+        FlowConfigBuilder(self.clone())
     }
 
     /// The validation-MC settings this configuration asks for (0 samples
@@ -325,73 +325,69 @@ impl FlowConfig {
 /// protocol's fields both go through it — and reports the first violation
 /// as a typed [`ConfigError`].
 #[derive(Debug, Clone)]
-pub struct FlowConfigBuilder {
-    benchmark: String,
-    slack_factor: f64,
-    eta: f64,
-    variation: VariationConfig,
-    mc_samples: usize,
-    mc_sampling: SamplingScheme,
-    mc_seed: u64,
-    wire_loads: bool,
-    library: LibrarySpec,
-}
+pub struct FlowConfigBuilder(FlowConfig);
 
 impl FlowConfigBuilder {
     /// Clock target as a multiple of the minimum achievable delay.
     pub fn slack_factor(mut self, slack_factor: f64) -> Self {
-        self.slack_factor = slack_factor;
+        self.0.slack_factor = slack_factor;
         self
     }
 
     /// Timing-yield requirement `η`.
     pub fn eta(mut self, eta: f64) -> Self {
-        self.eta = eta;
+        self.0.eta = eta;
         self
     }
 
     /// Full variation model override.
     pub fn variation(mut self, variation: VariationConfig) -> Self {
-        self.variation = variation;
+        self.0.variation = variation;
         self
     }
 
     /// Shortcut: rescale the channel-length sigma of the current
     /// variation model (keeps the d2d/spatial/local split).
     pub fn sigma_l(mut self, sigma_l_rel: f64) -> Self {
-        self.variation = self.variation.with_sigma_l(sigma_l_rel);
+        self.0.variation = self.0.variation.with_sigma_l(sigma_l_rel);
         self
     }
 
     /// Monte-Carlo samples used for validation metrics (0 = skip MC).
     pub fn mc_samples(mut self, mc_samples: usize) -> Self {
-        self.mc_samples = mc_samples;
+        self.0.mc_samples = mc_samples;
         self
     }
 
     /// Sampler and variance-reduction layers for the validation MC
     /// (e.g. `"sobol+is"`; see [`SamplingScheme`]).
     pub fn mc_sampler(mut self, mc_sampling: SamplingScheme) -> Self {
-        self.mc_sampling = mc_sampling;
+        self.0.mc_sampling = mc_sampling;
         self
     }
 
     /// Base seed of the validation MC sub-streams.
     pub fn mc_seed(mut self, mc_seed: u64) -> Self {
-        self.mc_seed = mc_seed;
+        self.0.mc_seed = mc_seed;
         self
     }
 
     /// Install placement-driven wire loads instead of fixed stubs.
     pub fn wire_loads(mut self, wire_loads: bool) -> Self {
-        self.wire_loads = wire_loads;
+        self.0.wire_loads = wire_loads;
         self
     }
 
     /// The cell library every evaluation path reads through (see
     /// [`LibrarySpec`]; builtin closed forms by default).
     pub fn library(mut self, library: LibrarySpec) -> Self {
-        self.library = library;
+        self.0.library = library;
+        self
+    }
+
+    /// Optimize over the triple-Vth ladder instead of dual Vth.
+    pub fn triple_vth(mut self, triple_vth: bool) -> Self {
+        self.0.triple_vth = triple_vth;
         self
     }
 
@@ -411,42 +407,43 @@ impl FlowConfigBuilder {
                 })
             }
         }
-        if self.benchmark.is_empty() {
+        let cfg = self.0;
+        if cfg.benchmark.is_empty() {
             return Err(ConfigError {
                 field: "benchmark",
                 message: "must name a circuit (see `statleak benchmarks`)".into(),
             });
         }
-        if !(self.slack_factor.is_finite() && self.slack_factor >= 1.0) {
+        if !(cfg.slack_factor.is_finite() && cfg.slack_factor >= 1.0) {
             return Err(ConfigError {
                 field: "slack_factor",
                 message: format!(
                     "must be >= 1.0 (a multiple of Dmin), got {}",
-                    self.slack_factor
+                    cfg.slack_factor
                 ),
             });
         }
-        if !(self.eta.is_finite() && self.eta > 0.0 && self.eta < 1.0) {
+        if !(cfg.eta.is_finite() && cfg.eta > 0.0 && cfg.eta < 1.0) {
             return Err(ConfigError {
                 field: "eta",
-                message: format!("must be a yield in (0, 1), got {}", self.eta),
+                message: format!("must be a yield in (0, 1), got {}", cfg.eta),
             });
         }
-        positive_finite("variation.sigma_l_rel", self.variation.sigma_l_rel)?;
-        positive_finite("variation.corr_length", self.variation.corr_length)?;
-        if !(self.variation.sigma_vth_rand.is_finite() && self.variation.sigma_vth_rand >= 0.0) {
+        positive_finite("variation.sigma_l_rel", cfg.variation.sigma_l_rel)?;
+        positive_finite("variation.corr_length", cfg.variation.corr_length)?;
+        if !(cfg.variation.sigma_vth_rand.is_finite() && cfg.variation.sigma_vth_rand >= 0.0) {
             return Err(ConfigError {
                 field: "variation.sigma_vth_rand",
                 message: format!(
                     "must be a non-negative finite voltage, got {}",
-                    self.variation.sigma_vth_rand
+                    cfg.variation.sigma_vth_rand
                 ),
             });
         }
         for (field, frac) in [
-            ("variation.frac_d2d", self.variation.frac_d2d),
-            ("variation.frac_spatial", self.variation.frac_spatial),
-            ("variation.frac_local", self.variation.frac_local),
+            ("variation.frac_d2d", cfg.variation.frac_d2d),
+            ("variation.frac_spatial", cfg.variation.frac_spatial),
+            ("variation.frac_local", cfg.variation.frac_local),
         ] {
             if !(frac.is_finite() && (0.0..=1.0).contains(&frac)) {
                 return Err(ConfigError {
@@ -455,23 +452,13 @@ impl FlowConfigBuilder {
                 });
             }
         }
-        if self.variation.grid == 0 || self.variation.grid > 64 {
+        if cfg.variation.grid == 0 || cfg.variation.grid > 64 {
             return Err(ConfigError {
                 field: "variation.grid",
-                message: format!("must be in 1..=64, got {}", self.variation.grid),
+                message: format!("must be in 1..=64, got {}", cfg.variation.grid),
             });
         }
-        Ok(FlowConfig {
-            benchmark: self.benchmark,
-            slack_factor: self.slack_factor,
-            eta: self.eta,
-            variation: self.variation,
-            mc_samples: self.mc_samples,
-            mc_sampling: self.mc_sampling,
-            mc_seed: self.mc_seed,
-            wire_loads: self.wire_loads,
-            library: self.library,
-        })
+        Ok(cfg)
     }
 }
 
@@ -565,6 +552,48 @@ pub fn benchmark_circuit(name: &str) -> Result<Circuit, FlowError> {
 pub fn prepare(cfg: &FlowConfig) -> Result<Setup, FlowError> {
     let _span = obs::span!("flow.prepare");
     Setup::new(benchmark_circuit(&cfg.benchmark)?, cfg)
+}
+
+/// The baseline: the all-low-Vth base sized for yield `η`, with no
+/// leakage optimization.
+///
+/// # Errors
+///
+/// Returns [`FlowError::Sizing`] when sizing cannot reach the target.
+pub fn baseline_on(setup: &Setup, cfg: &FlowConfig) -> Result<Design, FlowError> {
+    let mut design = setup.base.clone();
+    sizing::size_for_yield(&mut design, &setup.fm, setup.t_clk, cfg.eta)?;
+    Ok(design)
+}
+
+/// The guard-banded deterministic dual-Vth + sizing design at yield `η`
+/// (the best guard band of a 6-step search).
+///
+/// # Errors
+///
+/// Returns [`FlowError::Sizing`] when no guard band can be sized to.
+pub fn deterministic_on(setup: &Setup, cfg: &FlowConfig) -> Result<DetYieldOutcome, FlowError> {
+    Ok(deterministic_for_yield(
+        &setup.base,
+        &setup.fm,
+        setup.t_clk,
+        cfg.eta,
+        6,
+    )?)
+}
+
+/// The statistical Vth + sizing design at yield `η`, over the dual-Vth
+/// ladder or, with [`FlowConfig::triple_vth`], the triple-Vth one.
+///
+/// # Errors
+///
+/// Returns [`FlowError::Sizing`] when the yield target cannot be sized to.
+pub fn statistical_on(setup: &Setup, cfg: &FlowConfig) -> Result<StatYieldOutcome, FlowError> {
+    let mut proto = StatisticalOptimizer::new(setup.t_clk).with_yield_target(cfg.eta);
+    if cfg.triple_vth {
+        proto = proto.with_triple_vth();
+    }
+    Ok(statistical_flow(&setup.base, &setup.fm, &proto)?)
 }
 
 /// Metrics of one optimized (or baseline) design.
@@ -696,67 +725,42 @@ pub struct ComparisonOutcome {
 ///
 /// Returns [`FlowError`] on infeasible sizing.
 pub fn run_comparison_on(setup: &Setup, cfg: &FlowConfig) -> Result<ComparisonOutcome, FlowError> {
-    let Setup {
-        fm,
-        base,
-        dmin,
-        t_clk,
-        ..
-    } = setup;
-    let (dmin, t_clk) = (*dmin, *t_clk);
+    let measured = |design: &Design, t0: Instant| {
+        let runtime_s = t0.elapsed().as_secs_f64();
+        measure(design, &setup.fm, setup.t_clk, cfg.mc_config(), runtime_s)
+    };
 
     // Baseline: size for the yield target, no leakage optimization.
-    let _baseline_span = obs::span!("flow.baseline");
-    let t0 = Instant::now();
-    let mut baseline = base.clone();
-    sizing::size_for_yield(&mut baseline, fm, t_clk, cfg.eta)?;
-    let m_base = measure(
-        &baseline,
-        fm,
-        t_clk,
-        cfg.mc_config(),
-        t0.elapsed().as_secs_f64(),
-    );
-
-    drop(_baseline_span);
+    let m_base = {
+        let _span = obs::span!("flow.baseline");
+        let t0 = Instant::now();
+        measured(&baseline_on(setup, cfg)?, t0)
+    };
 
     // Deterministic flow (best guard band for the yield target).
-    let _det_span = obs::span!("flow.deterministic");
-    let t0 = Instant::now();
-    let det = deterministic_for_yield(base, fm, t_clk, cfg.eta, 6)?;
-    let m_det = measure(
-        &det.design,
-        fm,
-        t_clk,
-        cfg.mc_config(),
-        t0.elapsed().as_secs_f64(),
-    );
-
-    drop(_det_span);
+    let (m_det, det_guard_band) = {
+        let _span = obs::span!("flow.deterministic");
+        let t0 = Instant::now();
+        let det = deterministic_on(setup, cfg)?;
+        (measured(&det.design, t0), det.guard_band)
+    };
 
     // Statistical flow.
-    let _stat_span = obs::span!("flow.statistical");
-    let t0 = Instant::now();
-    let stat = statistical_for_yield(base, fm, t_clk, cfg.eta)?;
-    let m_stat = measure(
-        &stat.design,
-        fm,
-        t_clk,
-        cfg.mc_config(),
-        t0.elapsed().as_secs_f64(),
-    );
-
-    drop(_stat_span);
+    let m_stat = {
+        let _span = obs::span!("flow.statistical");
+        let t0 = Instant::now();
+        measured(&statistical_on(setup, cfg)?.design, t0)
+    };
 
     let extra = 1.0 - m_stat.leakage_p95 / m_det.leakage_p95;
     Ok(ComparisonOutcome {
         benchmark: cfg.benchmark.clone(),
-        dmin,
-        t_clk,
+        dmin: setup.dmin,
+        t_clk: setup.t_clk,
         baseline: m_base,
         deterministic: m_det,
         statistical: m_stat,
-        det_guard_band: det.guard_band,
+        det_guard_band,
         stat_extra_saving: extra,
     })
 }
@@ -872,13 +876,9 @@ pub fn yield_curves_on(
     cfg: &FlowConfig,
     t_grid: &[f64],
 ) -> Result<Vec<(f64, f64, f64, f64)>, FlowError> {
-    let mut baseline = setup.base.clone();
-    sizing::size_for_yield(&mut baseline, &setup.fm, setup.t_clk, cfg.eta)?;
-    let det = deterministic_for_yield(&setup.base, &setup.fm, setup.t_clk, cfg.eta, 6)?;
-    let stat = statistical_for_yield(&setup.base, &setup.fm, setup.t_clk, cfg.eta)?;
-    let ssta_b = Ssta::analyze(&baseline, &setup.fm);
-    let ssta_d = Ssta::analyze(&det.design, &setup.fm);
-    let ssta_s = Ssta::analyze(&stat.design, &setup.fm);
+    let ssta_b = Ssta::analyze(&baseline_on(setup, cfg)?, &setup.fm);
+    let ssta_d = Ssta::analyze(&deterministic_on(setup, cfg)?.design, &setup.fm);
+    let ssta_s = Ssta::analyze(&statistical_on(setup, cfg)?.design, &setup.fm);
     Ok(t_grid
         .iter()
         .map(|&k| {
@@ -930,8 +930,7 @@ pub struct McValidation {
 ///
 /// Propagates [`FlowError`].
 pub fn mc_validation_on(setup: &Setup, cfg: &FlowConfig) -> Result<McValidation, FlowError> {
-    let mut design = setup.base.clone();
-    sizing::size_for_yield(&mut design, &setup.fm, setup.t_clk, cfg.eta)?;
+    let design = baseline_on(setup, cfg)?;
     let ssta = Ssta::analyze(&design, &setup.fm);
     let power = LeakageAnalysis::analyze(&design, &setup.fm).total_power(&design);
     let mut mc = cfg.mc_config();
@@ -1006,9 +1005,8 @@ impl DistributionData {
 ///
 /// Propagates [`FlowError`].
 pub fn distribution_on(setup: &Setup, cfg: &FlowConfig) -> Result<DistributionData, FlowError> {
-    let mut baseline = setup.base.clone();
-    sizing::size_for_yield(&mut baseline, &setup.fm, setup.t_clk, cfg.eta)?;
-    let stat = statistical_for_yield(&setup.base, &setup.fm, setup.t_clk, cfg.eta)?;
+    let baseline = baseline_on(setup, cfg)?;
+    let stat = statistical_on(setup, cfg)?;
     let vdd = setup.base.tech().vdd;
     let run = |d: &Design| -> Vec<f64> {
         MonteCarlo::new(McConfig {
@@ -1052,8 +1050,7 @@ pub struct AblationRow {
 ///
 /// Propagates [`FlowError`].
 pub fn ablation_on(setup: &Setup, cfg: &FlowConfig) -> Result<Vec<AblationRow>, FlowError> {
-    let mut design = setup.base.clone();
-    sizing::size_for_yield(&mut design, &setup.fm, setup.t_clk, cfg.eta)?;
+    let design = baseline_on(setup, cfg)?;
     let placement = Placement::by_level(&setup.circuit);
     let mut rows = Vec::new();
 

@@ -7,6 +7,9 @@
 //!   placement → factor model → minimum delay → clock target, producing
 //!   the [`flows::Setup`] every flow below runs on (the CLI prepares the
 //!   netlist it loaded through `Setup` directly);
+//! * [`flows::baseline_on`], [`flows::deterministic_on`],
+//!   [`flows::statistical_on`] — the three compared designs, the only
+//!   place any of them is built;
 //! * [`flows::run_comparison_on`] — the headline three-way comparison at
 //!   equal timing yield: unoptimized baseline vs the guard-banded
 //!   deterministic flow vs the statistical flow (table T2);

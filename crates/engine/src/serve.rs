@@ -1024,8 +1024,13 @@ fn dispatch(line: &str, shared: &Shared) -> String {
         Op::Route(cfg, spec) => match route_response(shared, cfg, spec) {
             Ok(data) => proto::ok_response(id, "route", data),
             Err(e) => {
-                shared.request_errors.fetch_add(1, Ordering::Relaxed);
-                proto::err_response(id, &e)
+                let trace = request.trace.unwrap_or_default();
+                let record = AccessRecord::new(trace.trace_id, id, request.op.name(), "error");
+                let count = (
+                    &shared.request_errors,
+                    obs::counter!("serve_request_errors_total"),
+                );
+                reject(shared, count, &request, &record, Vec::new(), &e)
             }
         },
         Op::Shutdown => {

@@ -17,12 +17,12 @@
 
 use crate::cache::{ContentHasher, Lru};
 use statleak_core::flows::{
-    self, AblationRow, ComparisonOutcome, DesignMetrics, DistributionData, FlowConfig, FlowError,
-    LibrarySpec, McValidation, Setup, SweepPoint, SweepSpec,
+    self, AblationRow, ComparisonOutcome, DistributionData, FlowConfig, FlowError, LibrarySpec,
+    McValidation, Setup, SweepPoint, SweepSpec,
 };
 use statleak_netlist::bench;
 use statleak_obs as obs;
-use statleak_tech::{Design, Technology};
+use statleak_tech::Technology;
 use std::any::Any;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -88,11 +88,6 @@ impl Session {
     /// The content-hash cache key this session is stored under.
     pub fn key(&self) -> u64 {
         self.inner.key
-    }
-
-    /// The configuration the session was prepared for.
-    pub fn config(&self) -> &FlowConfig {
-        &self.inner.cfg
     }
 
     /// The prepared experiment state (circuit, factor model, nominal
@@ -201,18 +196,6 @@ impl Session {
     /// Propagates [`FlowError`].
     pub fn ablation(&self) -> Result<Vec<AblationRow>, FlowError> {
         self.memoized("ablation", |_| {}, flows::ablation_on)
-    }
-
-    /// Measures an arbitrary design against this session's clock target
-    /// (no memoization — the design is caller-owned state).
-    pub fn measure(&self, design: &Design, runtime_s: f64) -> DesignMetrics {
-        flows::measure(
-            design,
-            &self.inner.setup.fm,
-            self.inner.setup.t_clk,
-            self.inner.cfg.mc_config(),
-            runtime_s,
-        )
     }
 
     /// Number of memoized flow results currently held.
@@ -411,12 +394,18 @@ pub fn session_key(cfg: &FlowConfig) -> Result<u64, FlowError> {
     h.f64(v.sigma_vth_rand);
     h.f64(v.corr_length);
     h.usize(v.grid);
+    // Hashed only when set, so every dual-Vth key (and every stored
+    // answer) predates the knob unchanged.
+    if cfg.triple_vth {
+        h.str("vth:triple");
+    }
     Ok(h.finish())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use statleak_core::flows::FlowConfigBuilder;
 
     fn cfg(benchmark: &str) -> FlowConfig {
         FlowConfig::builder(benchmark)
@@ -452,6 +441,18 @@ mod tests {
             session_key(&cfg("c9999")),
             Err(FlowError::UnknownBenchmark(_))
         ));
+    }
+
+    /// The keys of existing stores: a change here re-keys every
+    /// `--store-dir` entry and every ring placement.
+    #[test]
+    fn session_key_is_pinned() {
+        let key =
+            |b: FlowConfigBuilder| format!("{:016x}", session_key(&b.build().unwrap()).unwrap());
+        let c432 = || FlowConfig::builder("c432");
+        assert_eq!(key(c432()), "71c6b4aea32652b7");
+        assert_eq!(key(c432().slack_factor(1.3).mc_seed(7)), "84045b49cd48f39a");
+        assert_ne!(key(c432().triple_vth(true)), "71c6b4aea32652b7");
     }
 
     #[test]

@@ -145,16 +145,6 @@ impl McResult {
         ok as f64 / self.samples.len().max(1) as f64
     }
 
-    /// Wilson score confidence interval on the empirical joint yield.
-    pub fn joint_yield_interval(&self, t_clk: f64, i_max: f64, z: f64) -> BinomialInterval {
-        let ok = self
-            .samples
-            .iter()
-            .filter(|s| s.delay <= t_clk && s.leakage <= i_max)
-            .count();
-        wilson_interval(ok, self.samples.len(), z)
-    }
-
     /// Histogram of the total leakage (for the distribution figures).
     pub fn leakage_histogram(&self, bins: usize) -> Histogram {
         Histogram::from_samples(&self.leakages(), bins)

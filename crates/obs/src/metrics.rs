@@ -114,11 +114,6 @@ impl Histogram {
         self.0.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Records a duration in nanoseconds (saturating on overflow).
-    pub fn record_duration(&self, d: Duration) {
-        self.record(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX));
-    }
-
     /// Records one observation and, when a [`trace::TraceContext`] is
     /// installed on this thread, retains `(value, trace_id)` as an
     /// exemplar (ring of [`EXEMPLAR_CAP`], oldest evicted). Untraced

@@ -43,22 +43,6 @@ impl Canonical {
         }
     }
 
-    /// Creates a canonical form directly from a sparse sensitivity vector.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `local` is negative.
-    pub fn from_sparse(mean: f64, shared: SparseVec, local: f64) -> Self {
-        assert!(local >= 0.0, "local sigma must be non-negative");
-        let variance = shared.norm2() + local * local;
-        Self {
-            mean,
-            shared,
-            local,
-            variance,
-        }
-    }
-
     /// A deterministic constant in a factor space of the given width.
     pub fn constant(value: f64, num_shared: usize) -> Self {
         Self {

@@ -7,7 +7,6 @@
 //! correlated lognormals.
 
 use crate::erf::{phi, phi_inv};
-use crate::normal::Normal;
 
 /// A lognormal distribution parameterized by the mean `mu` and standard
 /// deviation `sigma` of the underlying Gaussian `ln X`.
@@ -108,11 +107,6 @@ impl LogNormal {
     /// Panics if `p` is not strictly inside `(0, 1)`.
     pub fn quantile(&self, p: f64) -> f64 {
         (self.mu + self.sigma * phi_inv(p)).exp()
-    }
-
-    /// The underlying Gaussian of `ln X`.
-    pub fn ln_normal(&self) -> Normal {
-        Normal::new(self.mu, self.sigma)
     }
 
     /// Multiplies the random variable by a positive constant `k`.

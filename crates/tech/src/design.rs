@@ -139,11 +139,6 @@ impl Design {
         &*self.library
     }
 
-    /// Shared handle to the cell library.
-    pub fn library_arc(&self) -> Arc<dyn CellLibrary> {
-        Arc::clone(&self.library)
-    }
-
     /// The drive size of a node.
     #[inline]
     pub fn size(&self, id: NodeId) -> f64 {

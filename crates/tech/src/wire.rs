@@ -9,7 +9,6 @@
 //! capacitance so every downstream analysis (STA, SSTA, leakage-through-
 //! sizing, Monte Carlo) sees it transparently.
 
-use crate::params::Technology;
 use statleak_netlist::placement::Placement;
 use statleak_netlist::Circuit;
 
@@ -85,12 +84,6 @@ pub fn wire_caps_from_placement(
             }
         })
         .collect()
-}
-
-/// Convenience: total extra wire capacitance of a design (fF).
-pub fn total_wire_cap(tech: &Technology, caps: &[f64]) -> f64 {
-    let _ = tech;
-    caps.iter().sum()
 }
 
 #[cfg(test)]

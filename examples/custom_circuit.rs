@@ -6,10 +6,9 @@
 //! cargo run --release --example custom_circuit [path/to/file.bench]
 //! ```
 
-use statleak::core::flows::{FlowConfig, Setup};
+use statleak::core::flows::{self, FlowConfig, Setup};
 use statleak::mc::{McConfig, MonteCarlo};
 use statleak::netlist::{bench, Circuit, CircuitBuilder, GateKind};
-use statleak::opt::statistical_for_yield;
 use statleak::ssta::Ssta;
 
 /// A 4-bit ripple-carry adder built gate by gate — the kind of datapath
@@ -75,19 +74,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // defaults are the ones `statleak optimize` uses: T = 1.20·Dmin at a
     // 95 % timing-yield target.
     let cfg = FlowConfig::builder(circuit.name()).build()?;
-    let Setup {
-        base,
-        fm,
-        dmin,
-        t_clk,
-        ..
-    } = Setup::new(circuit, &cfg)?;
+    let setup = Setup::new(circuit, &cfg)?;
+    let (fm, dmin, t_clk) = (&setup.fm, setup.dmin, setup.t_clk);
     println!(
         "Dmin = {dmin:.1} ps, clock target = {t_clk:.1} ps, yield target {:.0}%",
         cfg.eta * 100.0
     );
 
-    let out = statistical_for_yield(&base, &fm, t_clk, cfg.eta)?;
+    let out = flows::statistical_on(&setup, &cfg)?;
     let r = &out.report;
     println!(
         "optimized: {} of {} gates high-Vth, p95 leakage {:.3} uW -> {:.3} uW, yield {:.4}",
@@ -103,8 +97,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         samples: 3000,
         ..Default::default()
     })
-    .run(&out.design, &fm);
-    let ssta = Ssta::analyze(&out.design, &fm);
+    .run(&out.design, fm);
+    let ssta = Ssta::analyze(&out.design, fm);
     println!(
         "MC check: yield {:.4} (SSTA {:.4}), p95 leakage {:.3} uW (analytic {:.3} uW)",
         mc.timing_yield(t_clk),

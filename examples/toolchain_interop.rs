@@ -8,22 +8,21 @@
 //! cargo run --release --example toolchain_interop [benchmark]
 //! ```
 
-use statleak::core::flows::{self, FlowConfig, Setup};
+use statleak::core::flows::{self, FlowConfig};
 use statleak::mc::{AbbConfig, McConfig, MonteCarlo};
 use statleak::netlist::verilog;
-use statleak::opt::statistical_for_yield;
 use statleak::ssta::Ssta;
 use statleak::sta::Sta;
 use statleak::tech::liberty;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let benchmark = std::env::args().nth(1).unwrap_or_else(|| "c432".into());
-    let Setup {
-        base, fm, t_clk, ..
-    } = flows::prepare(&FlowConfig::builder(benchmark).build()?)?;
+    let cfg = FlowConfig::builder(benchmark).build()?;
+    let setup = flows::prepare(&cfg)?;
+    let (fm, t_clk) = (&setup.fm, setup.t_clk);
 
     // 1. Liberty view of the dual-Vth library.
-    let lib = liberty::export(base.tech(), "statleak100");
+    let lib = liberty::export(setup.base.tech(), "statleak100");
     let parsed = liberty::parse_library(&lib)?;
     println!(
         "Liberty export: {} characterized cells ({} bytes); e.g. {}",
@@ -45,7 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Optimize, then hand the netlist to "another tool" via Verilog.
-    let out = statistical_for_yield(&base, &fm, t_clk, 0.95)?;
+    let out = flows::statistical_on(&setup, &cfg)?;
     let v = verilog::write(out.design.circuit());
     let reparsed = verilog::parse(&v)?;
     println!(
@@ -57,8 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Statistical criticality report: the gates most likely to sit on a
     // violating path at the target clock.
-    let ssta = Ssta::analyze(&out.design, &fm);
-    let crit = ssta.criticalities(&out.design, &fm, t_clk);
+    let ssta = Ssta::analyze(&out.design, fm);
+    let crit = ssta.criticalities(&out.design, fm, t_clk);
     let mut ranked: Vec<_> = out
         .design
         .circuit()
@@ -97,7 +96,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         samples: 1000,
         ..Default::default()
     })
-    .run_abb(&out.design, &fm, &AbbConfig::standard(t_stress));
+    .run_abb(&out.design, fm, &AbbConfig::standard(t_stress));
     println!(
         "\nABB at {:.1} ps: yield {:.3} -> {:.3}, mean leakage {:.3} uW -> {:.3} uW",
         t_stress,

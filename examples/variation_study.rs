@@ -6,11 +6,11 @@
 //! cargo run --release --example variation_study [benchmark]
 //! ```
 
+use statleak::core::flows;
 use statleak::core::report::{fmt_pct, Table};
 use statleak::leakage::LeakageAnalysis;
 use statleak::mc::{McConfig, MonteCarlo};
 use statleak::netlist::placement::Placement;
-use statleak::opt::sizing;
 use statleak::prelude::*;
 use statleak::tech::FactorModel;
 
@@ -50,8 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- The fast-die-leak-more correlation, measured from Monte Carlo. ---
     let setup = session.setup();
-    let mut design = setup.base.clone();
-    sizing::size_for_yield(&mut design, &setup.fm, setup.t_clk, cfg.eta)?;
+    let design = flows::baseline_on(setup, &cfg)?;
     let mc = MonteCarlo::new(McConfig {
         samples: 2000,
         ..Default::default()

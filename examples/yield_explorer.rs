@@ -5,8 +5,8 @@
 //! cargo run --release --example yield_explorer [benchmark]
 //! ```
 
+use statleak::core::flows;
 use statleak::core::report::{fmt_power, Table};
-use statleak::opt::{sizing, statistical_for_yield};
 use statleak::prelude::*;
 use statleak::ssta::Ssta;
 
@@ -35,7 +35,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let setup = session.setup();
     let mut t = Table::new(&["eta", "p95 leakage", "clock@eta (ps)", "high-Vth gates"]);
     for eta in [0.80, 0.90, 0.95, 0.99] {
-        let out = match statistical_for_yield(&setup.base, &setup.fm, setup.t_clk, eta) {
+        let eta_cfg = cfg.to_builder().eta(eta).build()?;
+        let out = match flows::statistical_on(setup, &eta_cfg) {
             Ok(o) => o,
             Err(e) => {
                 eprintln!("eta {eta}: {e} (skipped)");
@@ -53,10 +54,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     print!("{}", t.render());
 
     // --- How much clock headroom sizing alone can buy. ---
-    let dmin = sizing::min_delay_estimate(&setup.base);
     println!(
-        "\nminimum nominal delay by sizing alone: {dmin:.1} ps (clock target was {:.1} ps)",
-        setup.t_clk
+        "\nminimum nominal delay by sizing alone: {:.1} ps (clock target was {:.1} ps)",
+        setup.dmin, setup.t_clk
     );
     Ok(())
 }

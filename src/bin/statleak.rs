@@ -72,7 +72,8 @@
 //!
 //! `analyze`, `optimize` and `trace` prepare their design through
 //! `core::flows::Setup` — the constructor serve and `repro` use — and
-//! their range checks are `FlowConfigBuilder::build`'s.
+//! their range checks are `FlowConfigBuilder::build`'s; `optimize` builds
+//! its design with `core::flows::statistical_on`.
 //!
 //! Argument parsing is strict: unknown flags, flags missing their value,
 //! and unparsable values are errors, not silently ignored defaults. Each
@@ -91,7 +92,6 @@ use statleak::leakage::LeakageAnalysis;
 use statleak::mc::MonteCarlo;
 use statleak::netlist::{bench, benchmarks, verilog, Circuit};
 use statleak::obs;
-use statleak::opt::{statistical_flow, StatisticalOptimizer};
 use statleak::ssta::Ssta;
 use statleak::sta::{SlewSta, Sta};
 use statleak::tech::{liberty, Technology};
@@ -377,7 +377,8 @@ fn flow_config(
     default_mc_samples: usize,
 ) -> Result<FlowConfig, StatleakError> {
     let mut cfg = FlowConfig::builder(input)
-        .mc_samples(get_parsed(flags, "--mc-samples")?.unwrap_or(default_mc_samples));
+        .mc_samples(get_parsed(flags, "--mc-samples")?.unwrap_or(default_mc_samples))
+        .triple_vth(flags.contains_key("--triple-vth"));
     if let Some(v) = get_parsed(flags, "--slack-factor")? {
         cfg = cfg.slack_factor(v);
     }
@@ -541,17 +542,14 @@ fn cmd_optimize(args: &[String]) -> Result<(), StatleakError> {
 
     note!("estimating minimum delay...");
     let setup = Setup::new(circuit, &cfg)?;
-    let (t_clk, eta) = (setup.t_clk, cfg.eta);
+    let t_clk = setup.t_clk;
     note!(
-        "Dmin = {:.1} ps, clock target = {t_clk:.1} ps, yield target = {eta}",
-        setup.dmin
+        "Dmin = {:.1} ps, clock target = {t_clk:.1} ps, yield target = {}",
+        setup.dmin,
+        cfg.eta
     );
 
-    let mut proto = StatisticalOptimizer::new(t_clk).with_yield_target(eta);
-    if flags.contains_key("--triple-vth") {
-        proto = proto.with_triple_vth();
-    }
-    let out = statistical_flow(&setup.base, &setup.fm, &proto)?;
+    let out = flows::statistical_on(&setup, &cfg)?;
     let r = &out.report;
     outln!(
         "optimized: p95 leakage {:.3} uW -> {:.3} uW ({:.1}% saved), yield {:.4}",

@@ -23,8 +23,6 @@
 use statleak_core::{FlowError, LibraryErrorClass};
 use statleak_netlist::bench::ParseBenchError;
 use statleak_netlist::verilog::ParseVerilogError;
-use statleak_opt::SizeError;
-use statleak_stats::CholeskyError;
 use std::fmt;
 
 /// All failures the `statleak` CLI and facade surface to callers.
@@ -50,10 +48,6 @@ pub enum StatleakError {
     ParseBench(ParseBenchError),
     /// A structural-Verilog netlist failed to parse.
     ParseVerilog(ParseVerilogError),
-    /// The spatial-correlation matrix failed to factor.
-    Correlation(CholeskyError),
-    /// A sizing/optimization target cannot be met.
-    Infeasible(SizeError),
     /// An experiment-flow error (wraps [`FlowError`] for facade users).
     Flow(FlowError),
     /// A `statleak serve` daemon rejected the request at its queue
@@ -81,8 +75,6 @@ impl StatleakError {
             StatleakError::UnknownFormat { .. }
             | StatleakError::ParseBench(_)
             | StatleakError::ParseVerilog(_) => 4,
-            StatleakError::Correlation(_) => 5,
-            StatleakError::Infeasible(_) => 6,
             StatleakError::Flow(e) => match e {
                 FlowError::UnknownBenchmark(_) | FlowError::Config(_) => 2,
                 FlowError::Correlation(_) => 5,
@@ -135,8 +127,6 @@ impl fmt::Display for StatleakError {
             ),
             StatleakError::ParseBench(e) => write!(f, "bench netlist: {e}"),
             StatleakError::ParseVerilog(e) => write!(f, "verilog netlist: {e}"),
-            StatleakError::Correlation(e) => write!(f, "correlation model: {e}"),
-            StatleakError::Infeasible(e) => write!(f, "{e}"),
             StatleakError::Flow(e) => write!(f, "{e}"),
             StatleakError::Busy(msg) => write!(f, "server busy: {msg}"),
             StatleakError::Remote { class, message } => {
@@ -152,8 +142,6 @@ impl std::error::Error for StatleakError {
             StatleakError::Io { source, .. } => Some(source),
             StatleakError::ParseBench(e) => Some(e),
             StatleakError::ParseVerilog(e) => Some(e),
-            StatleakError::Correlation(e) => Some(e),
-            StatleakError::Infeasible(e) => Some(e),
             StatleakError::Flow(e) => Some(e),
             _ => None,
         }
@@ -172,18 +160,6 @@ impl From<ParseVerilogError> for StatleakError {
     }
 }
 
-impl From<CholeskyError> for StatleakError {
-    fn from(e: CholeskyError) -> Self {
-        StatleakError::Correlation(e)
-    }
-}
-
-impl From<SizeError> for StatleakError {
-    fn from(e: SizeError) -> Self {
-        StatleakError::Infeasible(e)
-    }
-}
-
 impl From<FlowError> for StatleakError {
     fn from(e: FlowError) -> Self {
         StatleakError::Flow(e)
@@ -193,6 +169,8 @@ impl From<FlowError> for StatleakError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use statleak_opt::SizeError;
+    use statleak_stats::CholeskyError;
 
     #[test]
     fn exit_codes_are_stable() {
@@ -210,10 +188,14 @@ mod tests {
             4
         );
         assert_eq!(
-            StatleakError::Infeasible(SizeError {
+            StatleakError::from(FlowError::Correlation(CholeskyError { pivot: 3 })).exit_code(),
+            5
+        );
+        assert_eq!(
+            StatleakError::from(FlowError::Sizing(SizeError {
                 achieved: 2.0,
                 target: 1.0,
-            })
+            }))
             .exit_code(),
             6
         );

@@ -225,14 +225,36 @@ fn input_resolves_sequential_benchmark_names() {
 /// `repro`; its stdout is pinned byte for byte so the two cannot drift.
 #[test]
 fn optimize_stdout_matches_golden() {
-    let out = statleak(&["optimize", "--input", "c432", "--mc-samples", "200"]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let golden = include_str!("golden/optimize-c432-mc200.txt");
-    assert_eq!(String::from_utf8_lossy(&out.stdout), golden);
+    let cases = [
+        (
+            "optimize --input c432 --mc-samples 200",
+            include_str!("golden/optimize-c432-mc200.txt"),
+        ),
+        (
+            "optimize --input c432 --triple-vth --mc-samples 200",
+            include_str!("golden/optimize-c432-triple-mc200.txt"),
+        ),
+    ];
+    for (args, golden) in cases {
+        let out = statleak(&args.split(' ').collect::<Vec<_>>());
+        assert!(
+            out.status.success(),
+            "{args}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stdout), golden, "{args}");
+    }
+}
+
+/// An unreachable clock target exits with the infeasible code through
+/// the flows' typed error.
+#[test]
+fn infeasible_target_exits_with_infeasible_code() {
+    let args = "optimize --input c432 --slack-factor 1.0 --eta 0.99 --mc-samples 0";
+    let out = statleak(&args.split(' ').collect::<Vec<_>>());
+    assert_eq!(out.status.code(), Some(6));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot reach"), "{stderr}");
 }
 
 #[test]
