@@ -194,7 +194,7 @@ impl std::fmt::Display for FlowError {
         match self {
             FlowError::UnknownBenchmark(n) => write!(f, "unknown benchmark `{n}`"),
             FlowError::Correlation(e) => write!(f, "correlation model: {e}"),
-            FlowError::Sizing(e) => write!(f, "sizing: {e}"),
+            FlowError::Sizing(e) => write!(f, "{e}"),
             FlowError::Config(e) => write!(f, "config: {e}"),
             FlowError::Library { message, .. } => write!(f, "library: {message}"),
         }

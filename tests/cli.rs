@@ -255,6 +255,7 @@ fn infeasible_target_exits_with_infeasible_code() {
     assert_eq!(out.status.code(), Some(6));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("cannot reach"), "{stderr}");
+    assert!(!stderr.contains("sizing: sizing"), "{stderr}");
 }
 
 #[test]

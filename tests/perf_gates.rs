@@ -50,9 +50,10 @@ fn standard_setup(name: &str) -> (Design, FactorModel, f64) {
 }
 
 /// Back-to-back flows per timed sample of the obs gate. One c880 flow
-/// takes ~400 ms and varies ±15 % run to run on a shared host; five make
-/// a ~2 s sample whose spread is well inside the 10 % bound.
-const OBS_FLOWS_PER_SAMPLE: usize = 5;
+/// takes ~200 ms on a 2-vCPU host (the margin walk runs 3σ and 2.5σ) and
+/// varies ±15 % run to run on a shared host; ten make a ~2 s sample whose
+/// spread is well inside the 10 % bound.
+const OBS_FLOWS_PER_SAMPLE: usize = 10;
 
 #[test]
 #[ignore = "release-build timing gate; run with --ignored"]
