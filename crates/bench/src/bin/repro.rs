@@ -14,13 +14,15 @@
 //!
 //! ## Crash safety
 //!
-//! Every `(experiment, circuit)` cell is checkpointed atomically under
-//! `<out>/.checkpoint/` as soon as it completes (see
-//! [`statleak_bench::checkpoint`]). If a run is killed, re-invoking the
-//! same command resumes with only the unfinished cells and produces
-//! byte-identical CSVs to an uninterrupted run. Checkpoints are cleared
-//! when the requested experiments finish. `--fresh` discards any existing
-//! checkpoint first; `--no-checkpoint` disables the mechanism entirely.
+//! Every `(experiment, circuit)` cell is checkpointed as soon as it
+//! completes, as one `.entry` of a [`statleak_engine::Store`] (the store
+//! `serve --store-dir` uses: checksummed, fsynced before an atomic rename,
+//! corrupt entries quarantined) under `<out>/.checkpoint/<config hash>/`.
+//! If a run is killed, re-invoking the same command resumes with only the
+//! unfinished cells and produces byte-identical CSVs to an uninterrupted
+//! run. A finished run removes the entries of the experiments it ran.
+//! `--fresh` discards stored cells first; `--no-checkpoint` disables the
+//! mechanism entirely.
 //!
 //! ## Graceful degradation
 //!
@@ -29,13 +31,13 @@
 //! a structured failure row (`circuit, -, -, ...`) in the experiment's
 //! table and logged to `<out>/failures.csv` with its stable error class.
 //! The process exits 0 when every cell succeeded, 1 when any cell failed,
-//! and 2 on bad command-line usage.
+//! 2 on bad command-line usage, and 3 when a CSV or `failures.csv` could
+//! not be written.
 
-use statleak_bench::checkpoint::{CellResult, Checkpoint};
 use statleak_bench::{full_suite, quick_suite};
 use statleak_core::flows::{self, DistKind, FlowConfig, FlowError, LibrarySpec, SweepSpec};
 use statleak_core::report::{fmt_pct, fmt_power, Table};
-use statleak_engine::Engine;
+use statleak_engine::{ContentHasher, Engine, Json, Store};
 use statleak_netlist::benchmarks;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -104,19 +106,63 @@ fn parse_args() -> Result<Options, String> {
     })
 }
 
-/// One recorded cell failure, mirrored into `<out>/failures.csv`.
-struct FailureRecord {
-    experiment: String,
-    cell: String,
-    class: String,
-    message: String,
+/// A cell's outcome: its table rows, or its failure class and message.
+type Outcome = Result<Vec<Vec<String>>, (String, String)>;
+
+/// `outcome` as a store payload: `{"rows": [[...], ...]}` or
+/// `{"class": ..., "message": ...}`.
+fn to_json(outcome: &Outcome) -> Json {
+    let strs = |row: &Vec<String>| Json::Arr(row.iter().map(Json::str).collect());
+    match outcome {
+        Ok(rows) => Json::obj(vec![("rows", Json::Arr(rows.iter().map(strs).collect()))]),
+        Err((class, message)) => Json::obj(vec![
+            ("class", Json::str(class)),
+            ("message", Json::str(message)),
+        ]),
+    }
 }
 
-/// Shared run state: options, the checkpoint manifest, and the failure log.
+/// Reads a [`to_json`] payload; `None` for any other shape.
+fn from_json(json: &Json) -> Option<Outcome> {
+    let text = |j: &Json| j.as_str().map(str::to_string);
+    let Some(rows) = json.get("rows") else {
+        return Some(Err((
+            text(json.get("class")?)?,
+            text(json.get("message")?)?,
+        )));
+    };
+    let rows = rows
+        .as_arr()?
+        .iter()
+        .map(|row| row.as_arr()?.iter().map(text).collect());
+    rows.collect::<Option<_>>().map(Ok)
+}
+
+/// The store key of an experiment or cell name.
+fn digest(name: &str) -> u64 {
+    ContentHasher::new().str(name).finish()
+}
+
+/// Opens the cell store of one run configuration under
+/// `<out>/.checkpoint/`, emptied first when `fresh`. The directory name
+/// digests everything that changes cell contents, so a `--quick` run can
+/// never resume from full-suite cells (or vice versa).
+fn open_checkpoint(out: &Path, quick: bool, fresh: bool) -> std::io::Result<Store> {
+    let config = digest(&format!("repro-v2 quick={quick}"));
+    let dir = out.join(".checkpoint").join(format!("{config:016x}"));
+    if fresh && dir.exists() {
+        std::fs::remove_dir_all(&dir)?;
+    }
+    Store::open(dir)
+}
+
+/// Shared run state: options, the cell store, the `failures.csv` rows,
+/// and whether any CSV could not be written.
 struct Ctx {
     opts: Options,
-    ckpt: Checkpoint,
-    failures: Vec<FailureRecord>,
+    store: Option<Store>,
+    failures: Vec<Vec<String>>,
+    write_failed: bool,
 }
 
 impl Ctx {
@@ -131,65 +177,51 @@ impl Ctx {
         table: &mut Table,
         compute: impl FnOnce() -> Result<Vec<Vec<String>>, FlowError>,
     ) {
-        let result = match self.ckpt.load(experiment, name) {
-            Some(r) => {
+        let (session, op) = (digest(experiment), digest(name));
+        let restored = self.store.as_ref().and_then(|s| s.load(session, op));
+        let outcome = match restored.as_ref().and_then(from_json) {
+            Some(outcome) => {
                 eprintln!("{experiment}/{name}: restored from checkpoint");
-                r
+                outcome
             }
             None => {
-                let r = match compute() {
-                    Ok(rows) => CellResult::Rows(rows),
-                    Err(e) => {
-                        eprintln!("{name}: {e} (recorded as failure, suite continues)");
-                        CellResult::Failed {
-                            class: e.class().to_string(),
-                            message: e.to_string(),
-                        }
-                    }
-                };
-                if let Err(e) = self.ckpt.store(experiment, name, &r) {
+                let outcome = compute().map_err(|e| {
+                    eprintln!("{name}: {e} (recorded as failure, suite continues)");
+                    (e.class().to_string(), e.to_string())
+                });
+                let saved = self
+                    .store
+                    .as_ref()
+                    .map(|s| s.save(session, op, &to_json(&outcome)));
+                if let Some(Err(e)) = saved {
                     eprintln!("warning: cannot checkpoint {experiment}/{name}: {e}");
                 }
-                r
+                outcome
             }
         };
-        match result {
-            CellResult::Rows(rows) => {
-                for row in &rows {
-                    table.row(row);
-                }
-            }
-            CellResult::Failed { class, message } => {
+        match outcome {
+            Ok(rows) => rows.iter().for_each(|row| table.row(row)),
+            Err((class, message)) => {
                 table.failure_row(name);
-                self.failures.push(FailureRecord {
-                    experiment: experiment.to_string(),
-                    cell: name.to_string(),
-                    class,
-                    message,
-                });
+                let record = [experiment, name, &class, &message];
+                self.failures.push(record.map(str::to_string).to_vec());
             }
         }
     }
 
-    fn save(&self, name: &str, table: &Table) {
+    fn save(&mut self, name: &str, table: &Table) {
         let path = self.opts.out.join(format!("{name}.csv"));
         if let Err(e) = table.write_csv(&path) {
             eprintln!("warning: could not write {}: {e}", path.display());
+            self.write_failed = true;
         } else {
             eprintln!("wrote {}", path.display());
         }
     }
 
-    fn write_failure_log(&self) {
+    fn write_failure_log(&mut self) {
         let mut t = Table::new(&["experiment", "circuit", "class", "message"]);
-        for f in &self.failures {
-            t.row(&[
-                f.experiment.clone(),
-                f.cell.clone(),
-                f.class.clone(),
-                f.message.clone(),
-            ]);
-        }
+        self.failures.iter().for_each(|f| t.row(f));
         self.save("failures", &t);
     }
 }
@@ -202,29 +234,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // The manifest key covers everything that changes cell contents, so a
-    // --quick run can never resume from full-suite cells (or vice versa).
-    let config_key = format!("repro-v1 quick={}", opts.quick);
-    let ckpt = if opts.checkpoint {
-        match Checkpoint::open(&opts.out, &config_key) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("warning: cannot open checkpoint manifest: {e}; resume disabled");
-                Checkpoint::disabled()
-            }
-        }
+    let store = if opts.checkpoint {
+        open_checkpoint(&opts.out, opts.quick, opts.fresh)
+            .map_err(|e| eprintln!("warning: cannot open checkpoint store: {e}; resume disabled"))
+            .ok()
     } else {
-        Checkpoint::disabled()
+        None
     };
-    if opts.fresh {
-        if let Err(e) = ckpt.clear_all() {
-            eprintln!("warning: --fresh could not clear the checkpoint: {e}");
-        }
-    }
     let mut ctx = Ctx {
         opts,
-        ckpt,
+        store,
         failures: Vec::new(),
+        write_failed: false,
     };
 
     let run_all = ctx.opts.which.iter().any(|w| w == "all");
@@ -257,12 +278,15 @@ fn main() -> ExitCode {
     // The run completed everything that was asked for: drop those cells so
     // the next invocation recomputes instead of replaying a stale cache.
     for exp in &requested {
-        if let Err(e) = ctx.ckpt.clear_experiment(exp) {
+        if let Some(Err(e)) = ctx.store.as_ref().map(|s| s.remove_session(digest(exp))) {
             eprintln!("warning: could not clear checkpoint for {exp}: {e}");
         }
     }
     eprintln!("\ntotal time: {:.1}s", t0.elapsed().as_secs_f64());
-    if ctx.failures.is_empty() {
+    if ctx.write_failed {
+        eprintln!("some results could not be written; see the warnings above");
+        ExitCode::from(3)
+    } else if ctx.failures.is_empty() {
         ExitCode::SUCCESS
     } else {
         eprintln!(
@@ -1016,4 +1040,53 @@ fn a6(ctx: &mut Ctx) {
     }
     print!("{}", t.render());
     ctx.save("a6_corner_libraries", &t);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tmp_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("statleak_repro_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn outcomes_round_trip_through_the_store() {
+        let dir = tmp_dir("cells");
+        let store = open_checkpoint(&dir, true, false).unwrap();
+        let rows: Outcome = Ok(vec![
+            vec!["c432".into(), "1.2 µW".into()],
+            vec!["multi\nline, commas".into(), "back\\slash\x1funit".into()],
+        ]);
+        let failed: Outcome = Err(("infeasible".into(), "cannot reach\n\x1f é".into()));
+        for (cell, outcome) in [("c432", &rows), ("c880", &failed)] {
+            store
+                .save(digest("t2"), digest(cell), &to_json(outcome))
+                .unwrap();
+            let back = store.load(digest("t2"), digest(cell)).unwrap();
+            assert_eq!(from_json(&back).as_ref(), Some(outcome));
+        }
+        assert_eq!(store.load(digest("t2"), digest("c499")), None);
+        assert_eq!(from_json(&Json::obj(vec![("rows", Json::Num(1.0))])), None);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn configs_are_isolated_and_clearing_is_scoped() {
+        let dir = tmp_dir("configs");
+        let full = open_checkpoint(&dir, false, false).unwrap();
+        let quick = open_checkpoint(&dir, true, false).unwrap();
+        let payload = to_json(&Ok(vec![vec!["x".into()]]));
+        for exp in ["t2", "t3"] {
+            full.save(digest(exp), digest("c432"), &payload).unwrap();
+        }
+        assert_eq!(quick.load(digest("t2"), digest("c432")), None);
+        full.remove_session(digest("t2")).unwrap();
+        assert_eq!(full.load(digest("t2"), digest("c432")), None);
+        assert_eq!(full.load(digest("t3"), digest("c432")), Some(payload));
+        assert!(open_checkpoint(&dir, false, true).unwrap().is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -5,11 +5,14 @@
 //! SSTA scaling curve (`BENCH_ssta.json`). The repository benchmark lives
 //! in `perfbench/`; the CI timing gates are the `#[ignore]`d release
 //! tests in the root package's `tests/perf_gates.rs`.
+//!
+//! `repro` keeps its resume checkpoints in [`statleak_engine::Store`],
+//! the crash-safe result store `serve --store-dir` also uses (checksummed
+//! `.entry` files, fsync before rename, quarantine for corrupt entries);
+//! this crate has no persistence code of its own.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-pub mod checkpoint;
 
 use statleak_core::flows::{self, FlowConfig, Setup};
 use statleak_netlist::benchmarks;

@@ -1,11 +1,9 @@
-//! End-to-end crash/resume test for the `repro` harness: SIGKILL a run
+//! End-to-end tests of the `repro` harness's run directory: SIGKILL a run
 //! mid-suite, re-invoke it, and require the resumed run to produce CSVs
-//! byte-identical to an uninterrupted run.
-//!
-//! Marked `#[ignore]` because it runs real experiments (tens of seconds)
-//! and kills processes; CI runs it explicitly with
-//! `cargo test -p statleak-bench --test resume -- --ignored`.
+//! byte-identical to an uninterrupted run; `--no-checkpoint` stores
+//! nothing; an unwritable output directory exits with the I/O code.
 
+use statleak_engine::Store;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -22,18 +20,17 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Counts completed checkpoint cells under `<out>/.checkpoint/*/`.
+/// Counts completed checkpoint cells: the Store entries under
+/// `<out>/.checkpoint/*/`.
 fn cell_count(out: &Path) -> usize {
-    let Ok(manifests) = fs::read_dir(out.join(".checkpoint")) else {
+    let Ok(stores) = fs::read_dir(out.join(".checkpoint")) else {
         return 0;
     };
-    manifests
+    stores
         .flatten()
-        .filter_map(|m| fs::read_dir(m.path()).ok())
-        .flatten()
-        .flatten()
-        .filter(|e| e.path().extension().is_some_and(|x| x == "cell"))
-        .count()
+        .filter_map(|dir| Store::open(dir.path()).ok())
+        .map(|store| store.len())
+        .sum()
 }
 
 /// T4 on the quick suite: multi-cell, deterministic output, and — unlike
@@ -42,7 +39,6 @@ const EXPERIMENT: &str = "t4";
 const CSV: &str = "t4_mc_validation.csv";
 
 #[test]
-#[ignore = "spawns and SIGKILLs real repro runs; run with --ignored"]
 fn sigkill_mid_run_then_resume_reproduces_identical_csv() {
     // Reference: one uninterrupted run.
     let ref_out = tmp_dir("ref");
@@ -65,46 +61,34 @@ fn sigkill_mid_run_then_resume_reproduces_identical_csv() {
         .spawn()
         .unwrap();
     let deadline = Instant::now() + Duration::from_secs(120);
-    let mut died_naturally = false;
     while cell_count(&kill_out) == 0 {
-        if child.try_wait().unwrap().is_some() {
-            died_naturally = true; // finished before we could kill it
-            break;
-        }
+        assert!(
+            child.try_wait().unwrap().is_none(),
+            "run finished before a cell was stored; kill earlier"
+        );
         assert!(Instant::now() < deadline, "no checkpoint cell appeared");
         std::thread::sleep(Duration::from_millis(20));
     }
-    if !died_naturally {
-        child.kill().unwrap();
-    }
+    child.kill().unwrap();
     let _ = child.wait();
-    if !died_naturally {
-        assert!(
-            !kill_out.join(CSV).exists(),
-            "run was killed after the CSV was already written; kill earlier"
-        );
-    }
+    assert!(
+        !kill_out.join(CSV).exists(),
+        "run was killed after the CSV was already written; kill earlier"
+    );
 
     // Resume: the same invocation must pick up the stored cells, finish,
     // and write byte-identical output.
     let out = repro()
         .args(["--quick", "--out", kill_out.to_str().unwrap(), EXPERIMENT])
         .stdout(Stdio::null())
-        .stderr(Stdio::piped())
         .output()
         .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
     assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        stderr.contains("restored from checkpoint"),
+        "resume did not reuse the checkpoint:\n{stderr}"
     );
-    if !died_naturally {
-        assert!(
-            String::from_utf8_lossy(&out.stderr).contains("restored from checkpoint"),
-            "resume did not reuse the checkpoint:\n{}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-    }
     let resumed = fs::read(kill_out.join(CSV)).unwrap();
     assert_eq!(
         reference, resumed,
@@ -119,7 +103,6 @@ fn sigkill_mid_run_then_resume_reproduces_identical_csv() {
 }
 
 #[test]
-#[ignore = "spawns real repro runs; run with --ignored"]
 fn no_checkpoint_flag_disables_the_manifest() {
     let out_dir = tmp_dir("nockpt");
     let status = repro()
@@ -138,4 +121,20 @@ fn no_checkpoint_flag_disables_the_manifest() {
     assert!(!out_dir.join(".checkpoint").exists());
     assert!(out_dir.join("t1_benchmarks.csv").exists());
     let _ = fs::remove_dir_all(&out_dir);
+}
+
+#[test]
+fn unwritable_output_exits_with_the_io_code() {
+    let dir = tmp_dir("unwritable");
+    let file = dir.join("file");
+    fs::write(&file, "not a directory").unwrap();
+    let out = repro()
+        .args(["--quick", "--out", file.join("sub").to_str().unwrap(), "t1"])
+        .stdout(Stdio::null())
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(3), "{stderr}");
+    assert!(stderr.contains("could not write"), "{stderr}");
+    let _ = fs::remove_dir_all(&dir);
 }

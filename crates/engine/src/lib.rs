@@ -53,6 +53,6 @@ pub use cache::{ContentHasher, Lru};
 pub use json::{Json, JsonError};
 pub use proto::{Op, ProtoError, Request};
 pub use ring::Ring;
-pub use serve::{ServeConfig, ServeReport, Server};
+pub use serve::{BindError, ServeConfig, ServeReport, Server};
 pub use session::{session_key, CacheStats, Engine, Session, DEFAULT_CACHE_CAPACITY};
 pub use store::{Store, StoreStats};

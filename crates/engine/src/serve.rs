@@ -395,6 +395,32 @@ pub struct Server {
     shared: Arc<Shared>,
 }
 
+/// Why [`Server::bind`] could not start.
+#[derive(Debug)]
+pub enum BindError {
+    /// The listen address, store directory or access log could not be
+    /// opened.
+    Io {
+        /// The address or path that failed.
+        path: String,
+        /// The underlying I/O error.
+        source: std::io::Error,
+    },
+    /// The ring has no usable nodes, or `self_node` is not one of them.
+    Ring(String),
+}
+
+impl std::fmt::Display for BindError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BindError::Io { path, source } => write!(f, "cannot open `{path}`: {source}"),
+            BindError::Ring(msg) => f.write_str(msg),
+        }
+    }
+}
+
+impl std::error::Error for BindError {}
+
 impl Server {
     /// Binds the listener, opens the store, builds the ring, and sizes
     /// the admission gate.
@@ -405,12 +431,17 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind and store-open failures, and rejects a ring with
-    /// no usable nodes or a `self_node` that is not a ring member.
-    pub fn bind(config: &ServeConfig, shutdown: &'static AtomicBool) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
+    /// Names the address, store directory or access log that could not be
+    /// opened, and rejects a ring with no usable nodes or a `self_node`
+    /// that is not a ring member.
+    pub fn bind(config: &ServeConfig, shutdown: &'static AtomicBool) -> Result<Server, BindError> {
+        let io = |path: &str| {
+            let path = path.to_string();
+            move |source| BindError::Io { path, source }
+        };
+        let listener = TcpListener::bind(&config.addr).map_err(io(&config.addr))?;
+        let local_addr = listener.local_addr().map_err(io(&config.addr))?;
+        listener.set_nonblocking(true).map_err(io(&config.addr))?;
         let workers = if config.workers == 0 {
             std::thread::available_parallelism()
                 .map(std::num::NonZeroUsize::get)
@@ -420,11 +451,13 @@ impl Server {
             config.workers
         };
         let store = match &config.store_dir {
-            Some(dir) => Some(Store::open(dir)?),
+            Some(dir) => Some(Store::open(dir).map_err(io(dir))?),
             None => None,
         };
         let access = match &config.access_log {
-            Some(path) => Some(AccessLog::open(path, config.access_log_max_bytes)?),
+            Some(path) => {
+                Some(AccessLog::open(path, config.access_log_max_bytes).map_err(io(path))?)
+            }
             None => None,
         };
         let registry = obs::Registry::global();
@@ -447,17 +480,13 @@ impl Server {
         );
         let ring = Ring::new(&config.ring, config.ring_replicas);
         if !config.ring.is_empty() && ring.is_none() {
-            return Err(std::io::Error::new(
-                ErrorKind::InvalidInput,
-                "ring has no usable nodes",
-            ));
+            return Err(BindError::Ring("ring has no usable nodes".into()));
         }
         if let (Some(ring), Some(node)) = (&ring, &config.self_node) {
             if !ring.contains(node) {
-                return Err(std::io::Error::new(
-                    ErrorKind::InvalidInput,
-                    format!("self node {node:?} is not a member of the ring"),
-                ));
+                return Err(BindError::Ring(format!(
+                    "self node {node:?} is not a member of the ring"
+                )));
             }
         }
         let shared = Arc::new(Shared {
@@ -775,7 +804,9 @@ fn answer(
             let outcome = result.as_ref().map_or("error", |_| origin.as_str());
             audit_item(i, outcome, Some(service.as_nanos() as u64));
             if let (Some(store), Ok(data)) = (&shared.store, &result) {
-                store.save(key, hashes[i], data);
+                // Best effort: a failed write is counted in the store's
+                // stats, and the computed answer still goes out.
+                let _ = store.save(key, hashes[i], data);
             }
             *slot = Some(result);
         }

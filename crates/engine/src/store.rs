@@ -1,13 +1,16 @@
-//! A persistent, crash-safe store of serve results keyed by content hash.
+//! A persistent, crash-safe store of flow results keyed by content hash,
+//! shared by `serve` and `repro`.
 //!
-//! Each entry is one flow result (the JSON `data` payload of a serve
-//! response) keyed by `(session key, op key)` — the same deterministic
-//! content hashes the in-memory cache uses — so a restarted daemon (or a
-//! fresh fleet member pointed at a shared directory) answers repeated
-//! requests warm without re-running `prepare()` or the flow. Soundness
-//! rests on the same property as the memo cache: every flow is
-//! deterministic end to end, so the stored bytes are exactly what a cold
-//! run would produce.
+//! `serve --store-dir` keeps each flow result (the JSON `data` payload of
+//! a serve response) under `(session key, op key)` — the same
+//! deterministic content hashes the in-memory cache uses — so a restarted
+//! daemon (or a fresh fleet member pointed at a shared directory) answers
+//! repeated requests warm without re-running `prepare()` or the flow.
+//! `repro` keeps each finished `(experiment, circuit)` cell under the
+//! digests of the two names, so a killed run resumes with only its
+//! unfinished cells. Soundness rests on the same property as the memo
+//! cache: every flow is deterministic end to end, so the stored bytes are
+//! exactly what a cold run would produce.
 //!
 //! Durability discipline:
 //!
@@ -39,6 +42,11 @@ const FORMAT_LINE: &str = "statleak-store 1";
 /// (a corrupt length field must not trigger a huge allocation).
 const MAX_PAYLOAD: usize = 64 << 20;
 
+/// Sequence number of temp and quarantine names, shared by every handle in
+/// the process so that two handles on one directory never pick the same
+/// name.
+static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
 /// Traffic counters for one [`Store`], surfaced by the serve `stats` op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct StoreStats {
@@ -61,7 +69,6 @@ pub struct StoreStats {
 #[derive(Debug)]
 pub struct Store {
     dir: PathBuf,
-    tmp_counter: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
@@ -81,7 +88,6 @@ impl Store {
         std::fs::create_dir_all(dir.join("quarantine"))?;
         Ok(Store {
             dir,
-            tmp_counter: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
@@ -127,16 +133,41 @@ impl Store {
         }
     }
 
-    /// Persists `data` under `(session, op)`. Best effort: failures are
-    /// counted, never propagated — the in-memory result is still served.
-    pub fn save(&self, session: u64, op: u64, data: &Json) {
-        if self.try_save(session, op, data).is_ok() {
+    /// Persists `data` under `(session, op)`. Failures are counted and
+    /// returned; callers that can go on without the entry (serve answers
+    /// from memory) may ignore them.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the write, sync or rename failure, or refuses a payload
+    /// over the size limit.
+    pub fn save(&self, session: u64, op: u64, data: &Json) -> std::io::Result<()> {
+        let result = self.try_save(session, op, data);
+        if result.is_ok() {
             self.stores.fetch_add(1, Ordering::Relaxed);
             obs::counter!("store_writes_total").inc();
         } else {
             self.write_errors.fetch_add(1, Ordering::Relaxed);
             obs::counter!("store_write_errors_total").inc();
         }
+        result
+    }
+
+    /// Deletes every entry stored under `session`, whatever its op key.
+    ///
+    /// # Errors
+    ///
+    /// Propagates directory-listing and removal failures.
+    pub fn remove_session(&self, session: u64) -> std::io::Result<()> {
+        let prefix = format!("{session:016x}-");
+        for entry in std::fs::read_dir(&self.dir)? {
+            let path = entry?.path();
+            let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            if name.starts_with(&prefix) && name.ends_with(".entry") {
+                std::fs::remove_file(&path)?;
+            }
+        }
+        Ok(())
     }
 
     fn try_save(&self, session: u64, op: u64, data: &Json) -> std::io::Result<()> {
@@ -151,7 +182,7 @@ impl Store {
         let tmp = self.dir.join(format!(
             ".tmp-{}-{}",
             std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         let result = (|| {
             let mut file = std::fs::File::create(&tmp)?;
@@ -174,7 +205,7 @@ impl Store {
         let dest = self.dir.join("quarantine").join(format!(
             "{name}.{}-{}",
             std::process::id(),
-            self.tmp_counter.fetch_add(1, Ordering::Relaxed)
+            TMP_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
         if std::fs::rename(path, &dest).is_err() {
             let _ = std::fs::remove_file(path);
@@ -278,10 +309,10 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         assert!(store.is_empty());
         assert_eq!(store.load(1, 2), None);
-        store.save(1, 2, &payload(1.5));
+        store.save(1, 2, &payload(1.5)).unwrap();
         assert_eq!(store.load(1, 2), Some(payload(1.5)));
         // Distinct op under the same session is a distinct entry.
-        store.save(1, 3, &payload(2.5));
+        store.save(1, 3, &payload(2.5)).unwrap();
         assert_eq!(store.len(), 2);
         let s = store.stats();
         assert_eq!((s.hits, s.misses, s.stores, s.quarantined), (1, 1, 2, 0));
@@ -292,7 +323,7 @@ mod tests {
     fn corrupt_entries_are_quarantined_not_crashed() {
         let dir = tmp_dir("corrupt");
         let store = Store::open(&dir).unwrap();
-        store.save(7, 8, &payload(1.0));
+        store.save(7, 8, &payload(1.0)).unwrap();
         let path = store.entry_path(7, 8);
 
         // Truncate mid-payload (simulates a torn write surviving a crash
@@ -304,13 +335,13 @@ mod tests {
         assert_eq!(store.stats().quarantined, 1);
 
         // Wrong claimed key (an entry renamed onto the wrong name).
-        store.save(7, 9, &payload(2.0));
+        store.save(7, 9, &payload(2.0)).unwrap();
         std::fs::rename(store.entry_path(7, 9), store.entry_path(7, 8)).unwrap();
         assert_eq!(store.load(7, 8), None, "key mismatch must miss");
         assert_eq!(store.stats().quarantined, 2);
 
         // Flipped payload byte breaks the checksum.
-        store.save(7, 10, &payload(3.0));
+        store.save(7, 10, &payload(3.0)).unwrap();
         let p = store.entry_path(7, 10);
         let mut bytes = std::fs::read(&p).unwrap();
         let last = bytes.len() - 2;
@@ -320,21 +351,38 @@ mod tests {
         assert_eq!(store.stats().quarantined, 3);
 
         // A fresh save over a quarantined key works again.
-        store.save(7, 8, &payload(4.0));
+        store.save(7, 8, &payload(4.0)).unwrap();
         assert_eq!(store.load(7, 8), Some(payload(4.0)));
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn reopening_the_directory_restores_entries() {
-        let dir = tmp_dir("reopen");
-        {
-            let store = Store::open(&dir).unwrap();
-            store.save(11, 12, &payload(9.0));
-        }
+    fn awkward_payloads_survive_and_remove_session_is_scoped() {
+        let dir = tmp_dir("remove");
         let store = Store::open(&dir).unwrap();
-        assert_eq!(store.load(11, 12), Some(payload(9.0)));
-        assert_eq!(store.stats().hits, 1);
+        let awkward = [
+            "unit\x1fsep",
+            "multi\nline, commas",
+            "back\\slash \"q\"",
+            "é ≠ µW",
+        ];
+        let awkward = Json::Arr(awkward.map(Json::str).to_vec());
+        for (session, op) in [(1, 1), (1, 2), (2, 1), (1, 1)] {
+            store.save(session, op, &awkward).unwrap();
+        }
+        assert_eq!(store.load(2, 1), Some(awkward.clone()));
+        store.remove_session(1).unwrap();
+        assert_eq!((store.load(1, 1), store.load(1, 2)), (None, None));
+        assert_eq!(store.load(2, 1), Some(awkward));
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        assert_eq!(
+            names,
+            ["0000000000000002-0000000000000001.entry", "quarantine"]
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

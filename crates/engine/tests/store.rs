@@ -48,7 +48,7 @@ fn restart_round_trip_is_warm_without_recompute() {
     let data = {
         let store = Store::open(&dir).expect("open");
         let data = compute(&op);
-        store.save(skey, ophash, &data);
+        store.save(skey, ophash, &data).unwrap();
         assert_eq!(store.len(), 1);
         data
     };
@@ -78,7 +78,7 @@ fn truncated_entry_is_quarantined_then_recomputed() {
 
     {
         let store = Store::open(&dir).expect("open");
-        store.save(skey, ophash, &data);
+        store.save(skey, ophash, &data).unwrap();
     }
     // Tear the entry mid-payload, as a `kill -9` against a non-atomic
     // filesystem would.
@@ -101,7 +101,7 @@ fn truncated_entry_is_quarantined_then_recomputed() {
     assert_eq!(quarantined, 1, "the torn entry lands in quarantine/");
 
     // The usual recovery: recompute, re-save, warm again.
-    store.save(skey, ophash, &data);
+    store.save(skey, ophash, &data).unwrap();
     assert_eq!(store.load(skey, ophash), Some(data));
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -124,7 +124,7 @@ fn concurrent_writers_converge_on_one_good_entry() {
             scope.spawn(move || {
                 let store = Store::open(dir).expect("open");
                 for _ in 0..20 {
-                    store.save(skey, ophash, data);
+                    store.save(skey, ophash, data).unwrap();
                     if let Some(seen) = store.load(skey, ophash) {
                         assert_eq!(&seen, data, "readers must never see a torn entry");
                     }

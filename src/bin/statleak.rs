@@ -86,7 +86,7 @@
 
 use statleak::core::flows::{self, mc_check, FlowConfig, Setup};
 use statleak::core::LibrarySpec;
-use statleak::engine::{Json, ServeConfig, Server};
+use statleak::engine::{BindError, Json, ServeConfig, Server};
 use statleak::error::StatleakError;
 use statleak::leakage::LeakageAnalysis;
 use statleak::mc::MonteCarlo;
@@ -721,9 +721,9 @@ fn cmd_serve(args: &[String]) -> Result<(), StatleakError> {
     }
 
     install_shutdown_handler();
-    let server = Server::bind(&config, &SHUTDOWN).map_err(|e| StatleakError::Io {
-        path: config.addr.clone(),
-        source: e,
+    let server = Server::bind(&config, &SHUTDOWN).map_err(|e| match e {
+        BindError::Io { path, source } => StatleakError::Io { path, source },
+        BindError::Ring(msg) => StatleakError::Usage(msg),
     })?;
     // Scripts (and the integration tests) read this line to learn the
     // resolved port when binding to :0.

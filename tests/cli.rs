@@ -292,3 +292,24 @@ fn closed_stdout_exits_quietly() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+#[test]
+fn serve_start_up_errors_name_their_cause() {
+    let dir = std::env::temp_dir().join(format!("statleak_cli_serve_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("a-file");
+    std::fs::write(&file, "").unwrap();
+    let (file, dir_s) = (file.to_str().unwrap(), dir.to_str().unwrap());
+    let serve = |extra: &[&str]| statleak(&[&["serve", "--addr", "127.0.0.1:0"], extra].concat());
+    for (extra, code, named) in [
+        (&["--store-dir", file][..], 3, file),
+        (&["--access-log", dir_s][..], 3, dir_s),
+        (&["--ring", "a,b", "--self-node", "c"][..], 2, "\"c\""),
+    ] {
+        let out = serve(extra);
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{extra:?}: {err}");
+        assert!(err.contains(named) && !err.contains("127.0.0.1"), "{err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
