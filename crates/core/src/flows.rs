@@ -576,6 +576,7 @@ pub fn deterministic_on(setup: &Setup, cfg: &FlowConfig) -> Result<DetYieldOutco
     Ok(deterministic_for_yield(
         &setup.base,
         &setup.fm,
+        setup.dmin,
         setup.t_clk,
         cfg.eta,
         6,

@@ -1,19 +1,19 @@
 //! The deterministic dual-Vth + sizing optimizer (comparison baseline).
 //!
 //! Classic corner-based flow: starting from a sized all-low-Vth design
-//! that meets the clock, greedily swap gates to high Vth (largest nominal
-//! leakage first) whenever the swap keeps the **nominal** critical path
-//! within the (optionally guard-banded) clock; then try downsizing gates
-//! with leftover slack. Repeated to convergence.
+//! that meets the clock, greedily swap gates to high Vth whenever the swap
+//! keeps the **nominal** critical path within the (optionally
+//! guard-banded) clock; then try downsizing gates with leftover slack.
+//! Repeated to convergence. The passes are the move loop the statistical
+//! optimizer runs too (`moves.rs`), over a nominal-STA check.
 //!
 //! Its blind spot — the reason the paper exists — is that a design that
 //! nominally "just fits" has ~50 % timing yield under process variation;
 //! protecting yield requires a guard band, which hands back much of the
 //! leakage saving. The statistical optimizer removes the corner blindness.
 
-use crate::{seeds_for_resize, seeds_for_vth_swap};
+use crate::moves::{self, NominalCheck};
 use rayon::prelude::*;
-use statleak_netlist::NodeId;
 use statleak_obs as obs;
 use statleak_sta::Sta;
 use statleak_tech::{Design, VthClass};
@@ -50,11 +50,7 @@ pub struct DetReport {
 impl DeterministicOptimizer {
     /// Creates an optimizer for a clock period with no guard band.
     pub fn new(t_clk: f64) -> Self {
-        Self {
-            t_clk,
-            guard_band: 0.0,
-            max_passes: 8,
-        }
+        Self::with_guard_band(t_clk, 0.0)
     }
 
     /// Creates a guard-banded optimizer (`guard_band` fraction of `t_clk`).
@@ -80,7 +76,7 @@ impl DeterministicOptimizer {
     pub fn optimize(&self, design: &mut Design) -> DetReport {
         let _span = obs::span!("opt.det_optimize");
         let budget = self.budget();
-        let mut sta = Sta::analyze(design);
+        let sta = Sta::analyze(design);
         assert!(
             sta.circuit_delay() <= budget + 1e-9,
             "starting design misses the budget: {:.2} > {:.2} ps",
@@ -88,73 +84,15 @@ impl DeterministicOptimizer {
             budget
         );
         let initial = design.total_leakage_power_nominal();
-        let mut downsized = 0usize;
-        let mut passes = 0usize;
-
-        for _ in 0..self.max_passes {
-            passes += 1;
-            let mut accepted = 0usize;
-
-            // --- Vth pass: slack-covered moves first (by leakage), then
-            // constrained moves by saving-per-shortfall. ---
-            let slacks = sta.slacks(design, budget);
-            let mut candidates: Vec<NodeId> = design
-                .circuit()
-                .gates()
-                .filter(|&g| design.vth(g) == VthClass::Low)
-                .collect();
-            crate::rank_vth_candidates(
-                design,
-                &mut candidates,
-                |g| slacks.of(g),
-                |g| design.gate_leakage_nominal(g),
-            );
-            for g in candidates {
-                design.set_vth(g, VthClass::High);
-                let undo =
-                    sta.recompute_cone(design, &seeds_for_vth_swap(design, g, VthClass::Low));
-                if sta.circuit_delay() <= budget + 1e-9 {
-                    accepted += 1;
-                } else {
-                    sta.undo(undo);
-                    design.set_vth(g, VthClass::Low);
-                }
-            }
-
-            // --- Downsizing pass: biggest gates first. ---
-            let mut sized: Vec<NodeId> = design
-                .circuit()
-                .gates()
-                .filter(|&g| design.size(g) > 1.0)
-                .collect();
-            sized.sort_by(|&a, &b| design.size(b).total_cmp(&design.size(a)));
-            for g in sized {
-                let old = design.size(g);
-                let Some(down) = design.size_down(old) else {
-                    continue;
-                };
-                design.set_size(g, down);
-                let undo = sta.recompute_cone(design, &seeds_for_resize(design, g));
-                if sta.circuit_delay() <= budget + 1e-9 {
-                    accepted += 1;
-                    downsized += 1;
-                } else {
-                    sta.undo(undo);
-                    design.set_size(g, old);
-                }
-            }
-
-            if accepted == 0 {
-                break;
-            }
-        }
-
+        let mut check = NominalCheck { sta, budget };
+        let ladder = [VthClass::Low, VthClass::High];
+        let (downsized_gates, passes) = moves::run(design, &mut check, &ladder, self.max_passes);
         DetReport {
             initial_nominal_leakage: initial,
             final_nominal_leakage: design.total_leakage_power_nominal(),
-            final_delay: sta.circuit_delay(),
+            final_delay: check.sta.circuit_delay(),
             high_vth_gates: design.high_vth_count(),
-            downsized_gates: downsized,
+            downsized_gates,
             passes,
         }
     }
@@ -181,6 +119,9 @@ pub struct DetYieldOutcome {
 /// deterministic flow the best possible margin choice, which is the
 /// *strongest* version of the baseline the statistical optimizer must beat.
 ///
+/// `dmin` is the base's minimum delay, [`crate::sizing::min_delay_estimate`];
+/// it caps the guard band at what sizing can still reach.
+///
 /// # Errors
 ///
 /// Returns [`crate::SizeError`] if even the largest feasible guard band
@@ -188,6 +129,7 @@ pub struct DetYieldOutcome {
 pub fn deterministic_for_yield(
     base: &Design,
     fm: &statleak_tech::FactorModel,
+    dmin: f64,
     t_clk: f64,
     eta: f64,
     iterations: usize,
@@ -196,39 +138,38 @@ pub fn deterministic_for_yield(
     let _span = obs::span!("opt.deterministic_flow");
     assert!(eta > 0.0 && eta < 1.0, "eta must be in (0,1)");
 
-    let evaluate = |guard: f64| -> Option<(Design, DetReport, f64)> {
-        let mut d = base.clone();
-        crate::sizing::size_for_delay(&mut d, t_clk * (1.0 - guard)).ok()?;
-        let report = DeterministicOptimizer::with_guard_band(t_clk, guard).optimize(&mut d);
-        let y = Ssta::analyze(&d, fm).timing_yield(t_clk);
-        Some((d, report, y))
+    let evaluate = |guard_band: f64| -> Option<DetYieldOutcome> {
+        let mut design = base.clone();
+        crate::sizing::size_for_delay(&mut design, t_clk * (1.0 - guard_band)).ok()?;
+        let report =
+            DeterministicOptimizer::with_guard_band(t_clk, guard_band).optimize(&mut design);
+        let achieved_yield = Ssta::analyze(&design, fm).timing_yield(t_clk);
+        Some(DetYieldOutcome {
+            design,
+            report,
+            guard_band,
+            achieved_yield,
+        })
     };
 
     // Largest guard band that is still sizable.
-    let dmin = crate::sizing::min_delay_estimate(base);
     let g_max = (1.0 - dmin / t_clk - 0.005).max(0.0);
     let (mut lo, mut hi) = (0.0_f64, g_max);
-    let Some((d_hi, r_hi, y_hi)) = evaluate(hi) else {
+    let Some(mut best) = evaluate(hi) else {
         return Err(crate::SizeError {
             achieved: dmin,
             target: t_clk * (1.0 - g_max),
         });
     };
-    let mut best = (d_hi, r_hi, hi, y_hi);
-    if y_hi < eta {
+    if best.achieved_yield < eta {
         // Even the maximum margin misses the target: report best effort.
-        return Ok(DetYieldOutcome {
-            design: best.0,
-            report: best.1,
-            guard_band: best.2,
-            achieved_yield: best.3,
-        });
+        return Ok(best);
     }
     for _ in 0..iterations {
         let mid = 0.5 * (lo + hi);
         match evaluate(mid) {
-            Some((d, r, y)) if y >= eta => {
-                best = (d, r, mid, y);
+            Some(outcome) if outcome.achieved_yield >= eta => {
+                best = outcome;
                 hi = mid;
             }
             _ => lo = mid,
@@ -243,26 +184,19 @@ pub fn deterministic_for_yield(
     // The probes are independent full runs, so they fan out on rayon; the
     // ordered collect plus a serial fold with the original strict-< rule
     // keeps the selection bit-identical to the sequential loop.
-    let g_star = best.2;
-    let extras: Vec<f64> = vec![0.04, 0.08, 0.12];
-    let probes: Vec<Option<(Design, DetReport, f64, f64)>> = extras
+    let g_star = best.guard_band;
+    let probes: Vec<Option<DetYieldOutcome>> = vec![0.04, 0.08, 0.12]
         .into_par_iter()
-        .map(|extra| {
-            let g = (g_star + extra).min(g_max);
-            evaluate(g).map(|(d, r, y)| (d, r, g, y))
-        })
+        .map(|extra| evaluate((g_star + extra).min(g_max)))
         .collect();
-    for (d, r, g, y) in probes.into_iter().flatten() {
-        if y >= eta && r.final_nominal_leakage < best.1.final_nominal_leakage {
-            best = (d, r, g, y);
+    for outcome in probes.into_iter().flatten() {
+        if outcome.achieved_yield >= eta
+            && outcome.report.final_nominal_leakage < best.report.final_nominal_leakage
+        {
+            best = outcome;
         }
     }
-    Ok(DetYieldOutcome {
-        design: best.0,
-        report: best.1,
-        guard_band: best.2,
-        achieved_yield: best.3,
-    })
+    Ok(best)
 }
 
 #[cfg(test)]
@@ -340,7 +274,7 @@ mod tests {
         let base = Design::new(circuit, tech);
         let dmin = sizing::min_delay_estimate(&base);
         let t = dmin * 1.20;
-        let out = deterministic_for_yield(&base, &fm, t, 0.95, 6).unwrap();
+        let out = deterministic_for_yield(&base, &fm, dmin, t, 0.95, 6).unwrap();
         assert!(out.achieved_yield >= 0.95, "yield {}", out.achieved_yield);
         assert!(out.guard_band > 0.0, "needs a nonzero band to reach 95%");
     }

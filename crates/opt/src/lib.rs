@@ -8,13 +8,16 @@
 //! 2. [`DeterministicOptimizer`] — the *comparison baseline*: greedy
 //!    dual-Vth assignment plus downsizing validated against **nominal**
 //!    STA slack (à la Wei/Roy and Pant et al.), optionally guard-banded;
-//! 3. [`StatisticalOptimizer`] — the paper's contribution: the same move
-//!    set validated against a **timing-yield** constraint from SSTA, with
+//! 3. [`StatisticalOptimizer`] — the paper's contribution: the same moves
+//!    validated against a **timing-yield** constraint from SSTA, with
 //!    the objective being the 95th percentile of the full-chip leakage
 //!    lognormal.
 //!
-//! Both optimizers use incremental cone updates with undo, so a candidate
-//! move costs time proportional to its fanout cone.
+//! Both optimizers run one move loop (`moves.rs`) and supply only its
+//! timing check: nominal STA against the budget, or SSTA yield against
+//! the floor. The check re-times a move's fanout cone incrementally and
+//! undoes it on rejection, so a candidate move costs time proportional
+//! to its cone.
 //!
 //! # Example
 //!
@@ -39,6 +42,7 @@
 #![warn(missing_docs)]
 
 mod deterministic;
+mod moves;
 pub mod sizing;
 mod statistical;
 
@@ -51,74 +55,8 @@ pub use statistical::{
     TracePoint,
 };
 
-use rayon::prelude::*;
 use statleak_netlist::NodeId;
 use statleak_tech::{Design, VthClass};
-
-/// Nominal delay penalty of swapping gate `g` from its current Vth flavor
-/// to `target`, at its current size and load (ps).
-pub(crate) fn vth_penalty_to(design: &Design, g: NodeId, target: VthClass) -> f64 {
-    let node = design.circuit().node(g);
-    let c_load = design.load_cap(g);
-    let d_new =
-        design
-            .library()
-            .delay_nominal(node.kind, node.fanin.len(), design.size(g), target, c_load);
-    let d_cur = design.library().delay_nominal(
-        node.kind,
-        node.fanin.len(),
-        design.size(g),
-        design.vth(g),
-        c_load,
-    );
-    d_new - d_cur
-}
-
-/// Nominal delay penalty of the classic low→high swap.
-pub(crate) fn vth_penalty(design: &Design, g: NodeId) -> f64 {
-    vth_penalty_to(design, g, VthClass::High)
-}
-
-/// Ranks low-Vth candidates for the high-Vth swap, TILOS-style: moves whose
-/// slack covers the delay penalty ("free" moves) come first ordered by
-/// leakage saving, then constrained moves ordered by saving per unit of
-/// slack shortfall. `slack_of` and `leak_of` are the analysis-specific
-/// slack and leakage measures.
-/// Scoring is read-only per candidate and fans out on rayon; the ordered
-/// collect plus the serial **stable** sort keep the final ranking
-/// bit-identical to fully-serial scoring for any thread count.
-pub(crate) fn rank_vth_candidates_by(
-    candidates: &mut Vec<NodeId>,
-    penalty_of: impl Fn(NodeId) -> f64 + Sync,
-    slack_of: impl Fn(NodeId) -> f64 + Sync,
-    leak_of: impl Fn(NodeId) -> f64 + Sync,
-) {
-    let mut scored: Vec<(NodeId, bool, f64)> = candidates
-        .par_iter()
-        .map(|&g| {
-            let penalty = penalty_of(g);
-            let slack = slack_of(g);
-            let saving = leak_of(g);
-            if slack >= penalty {
-                (g, true, saving)
-            } else {
-                (g, false, saving / (penalty - slack).max(1e-9))
-            }
-        })
-        .collect();
-    scored.sort_by(|a, b| b.1.cmp(&a.1).then(b.2.total_cmp(&a.2)));
-    *candidates = scored.into_iter().map(|(g, _, _)| g).collect();
-}
-
-/// Ranks low-Vth candidates for the classic low→high swap.
-pub(crate) fn rank_vth_candidates(
-    design: &Design,
-    candidates: &mut Vec<NodeId>,
-    slack_of: impl Fn(NodeId) -> f64 + Sync,
-    leak_of: impl Fn(NodeId) -> f64 + Sync,
-) {
-    rank_vth_candidates_by(candidates, |g| vth_penalty(design, g), slack_of, leak_of);
-}
 
 /// Seed set for an incremental timing update after resizing gate `g`:
 /// the gate itself plus its fanin drivers, whose load changed with `g`'s

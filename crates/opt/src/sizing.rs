@@ -3,9 +3,10 @@
 //! Builds the optimization starting point: beginning from all-minimum
 //! sizes, repeatedly upsize the critical-path gate with the best estimated
 //! delay reduction until the target is met (or no move helps). This is the
-//! classic sensitivity-driven sizing loop; it is not globally optimal, but
-//! both the deterministic and statistical flows start from the *same*
-//! sized design, so the comparison between them is apples-to-apples.
+//! classic sensitivity-driven sizing loop; it is not globally optimal. The
+//! deterministic flow sizes with [`size_for_delay`] to `t_clk·(1−g)`, the
+//! statistical one with [`size_for_yield`] to `Φ(z_η + m)` at each sizing
+//! margin `m`, so the two flows start from different designs.
 
 use crate::seeds_for_resize;
 use statleak_netlist::NodeId;
