@@ -17,6 +17,10 @@
 use super::error::{LibertyError, LibertyErrorKind};
 use super::lexer::{lex, Token, TokenKind};
 
+/// Deepest group nesting accepted. Real libraries nest about five deep
+/// (`library` › `cell` › `pin` › `timing` › table).
+const MAX_DEPTH: usize = 64;
+
 /// A `name (args) { ... }` group node.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Group {
@@ -226,20 +230,37 @@ impl Parser {
         }
     }
 
-    /// Parses one full group; the caller guarantees the next token is the
-    /// group keyword.
+    /// Parses one full top-level group; the caller guarantees the next
+    /// token is the group keyword.
     fn group(&mut self) -> Result<Group, LibertyError> {
         let (name, line, column) = self.word("group keyword")?;
         let args = self.args()?;
         self.expect(&TokenKind::LBrace, "`{`")?;
-        let mut group = Group {
-            name,
-            args,
-            attrs: Vec::new(),
-            groups: Vec::new(),
-            line,
-            column,
-        };
+        self.body(
+            Group {
+                name,
+                args,
+                attrs: Vec::new(),
+                groups: Vec::new(),
+                line,
+                column,
+            },
+            1,
+        )
+    }
+
+    /// Parses a group's body, after its `{` through the closing `}`, into
+    /// `group`; `depth` is the group's nesting level (1 = top level).
+    /// Refuses groups nested deeper than [`MAX_DEPTH`], so neither parsing
+    /// nor dropping the tree can overflow the stack.
+    fn body(&mut self, mut group: Group, depth: usize) -> Result<Group, LibertyError> {
+        if depth > MAX_DEPTH {
+            return Err(LibertyError::new(
+                LibertyErrorKind::NestingTooDeep { limit: MAX_DEPTH },
+                group.line,
+                group.column,
+            ));
+        }
         loop {
             match self.peek().map(|t| t.kind.clone()) {
                 Some(TokenKind::RBrace) => {
@@ -251,7 +272,7 @@ impl Parser {
                     self.next();
                 }
                 Some(TokenKind::Word(_)) => {
-                    self.statement(&mut group)?;
+                    self.statement(&mut group, depth)?;
                 }
                 Some(other) => {
                     let t = self.next().unwrap();
@@ -267,17 +288,17 @@ impl Parser {
                 None => {
                     return Err(LibertyError::new(
                         LibertyErrorKind::UnterminatedGroup { name: group.name },
-                        line,
-                        column,
+                        group.line,
+                        group.column,
                     ));
                 }
             }
         }
     }
 
-    /// One statement inside a group body: simple attribute, complex
-    /// attribute, or sub-group.
-    fn statement(&mut self, parent: &mut Group) -> Result<(), LibertyError> {
+    /// One statement inside the body of `parent` (at nesting level
+    /// `depth`): simple attribute, complex attribute, or sub-group.
+    fn statement(&mut self, parent: &mut Group, depth: usize) -> Result<(), LibertyError> {
         let (key, line, column) = self.word("attribute or group keyword")?;
         match self.peek().map(|t| t.kind.clone()) {
             Some(TokenKind::Colon) => {
@@ -329,7 +350,7 @@ impl Parser {
                 match self.peek().map(|t| t.kind.clone()) {
                     Some(TokenKind::LBrace) => {
                         self.next();
-                        let mut group = Group {
+                        let group = Group {
                             name: key,
                             args,
                             attrs: Vec::new(),
@@ -337,39 +358,8 @@ impl Parser {
                             line,
                             column,
                         };
-                        loop {
-                            match self.peek().map(|t| t.kind.clone()) {
-                                Some(TokenKind::RBrace) => {
-                                    self.next();
-                                    parent.groups.push(group);
-                                    return Ok(());
-                                }
-                                Some(TokenKind::Semi) => {
-                                    self.next();
-                                }
-                                Some(TokenKind::Word(_)) => {
-                                    self.statement(&mut group)?;
-                                }
-                                Some(other) => {
-                                    let t = self.next().unwrap();
-                                    return Err(LibertyError::new(
-                                        LibertyErrorKind::Expected {
-                                            expected: "attribute, sub-group, or `}`",
-                                            found: other.describe(),
-                                        },
-                                        t.line,
-                                        t.column,
-                                    ));
-                                }
-                                None => {
-                                    return Err(LibertyError::new(
-                                        LibertyErrorKind::UnterminatedGroup { name: group.name },
-                                        line,
-                                        column,
-                                    ));
-                                }
-                            }
-                        }
+                        parent.groups.push(self.body(group, depth + 1)?);
+                        Ok(())
                     }
                     _ => {
                         // Complex attribute; the semicolon is optional in
@@ -463,5 +453,27 @@ library (demo) {
         let err = parse_groups("library (demo) {\n  key 5;\n}").unwrap_err();
         assert!(matches!(err.kind, LibertyErrorKind::Expected { .. }));
         assert_eq!(err.line, 2);
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |depth: usize| "cell (a) {\n".repeat(depth) + &"}\n".repeat(depth);
+        let groups = parse_groups(&nested(MAX_DEPTH)).unwrap();
+        let mut depth = 1;
+        let mut g = &groups[0];
+        while let Some(inner) = g.groups.first() {
+            g = inner;
+            depth += 1;
+        }
+        assert_eq!(depth, MAX_DEPTH);
+
+        // Far deeper than the cap: a typed error at the first group past
+        // it, not a stack overflow.
+        let err = parse_groups(&nested(20_000)).unwrap_err();
+        assert_eq!(
+            err.kind,
+            LibertyErrorKind::NestingTooDeep { limit: MAX_DEPTH }
+        );
+        assert_eq!(err.line, MAX_DEPTH as u32 + 1);
     }
 }

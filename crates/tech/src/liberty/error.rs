@@ -78,6 +78,12 @@ pub enum LibertyErrorKind {
         /// The table's template name.
         template: String,
     },
+    /// Groups nest deeper than the parser accepts; the position points at
+    /// the first group past the limit.
+    NestingTooDeep {
+        /// The deepest nesting accepted.
+        limit: usize,
+    },
 }
 
 impl fmt::Display for LibertyError {
@@ -107,6 +113,9 @@ impl fmt::Display for LibertyError {
             }
             LibertyErrorKind::BadTableShape { template } => {
                 write!(f, "table values do not match template `{template}` axes")
+            }
+            LibertyErrorKind::NestingTooDeep { limit } => {
+                write!(f, "groups nest deeper than the limit of {limit} levels")
             }
         }
     }

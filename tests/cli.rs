@@ -189,6 +189,25 @@ fn malformed_bench_file_exits_with_parse_code() {
 }
 
 #[test]
+fn deeply_nested_liberty_exits_with_parse_code() {
+    let dir = std::env::temp_dir().join("statleak_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("deep.lib");
+    let depth = 20_000;
+    std::fs::write(&path, "cell (a) {\n".repeat(depth) + &"}\n".repeat(depth)).unwrap();
+    let out = statleak(&[
+        "analyze",
+        "--input",
+        "c17",
+        "--liberty",
+        path.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(4));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("limit of 64 levels"), "{err}");
+}
+
+#[test]
 fn out_of_range_option_is_a_usage_error() {
     let cases: [(&[&str], &str); 3] = [
         (&["optimize", "--input", "c17", "--eta", "1.5"], "--eta"),
