@@ -579,7 +579,6 @@ pub fn deterministic_on(setup: &Setup, cfg: &FlowConfig) -> Result<DetYieldOutco
         setup.dmin,
         setup.t_clk,
         cfg.eta,
-        6,
     )?)
 }
 

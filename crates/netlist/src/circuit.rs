@@ -680,6 +680,48 @@ impl Circuit {
         let ranks = &self.topo_rank;
         scratch.cone.sort_unstable_by_key(|id| ranks[id.index()]);
     }
+
+    /// Required times against a clock period `t_clk` (indexed by
+    /// [`NodeId::index`]): primary outputs are required at `t_clk`, and a
+    /// gate's fanins by its own required time minus `delay(gate)`. Nodes
+    /// that reach no output stay `+inf`.
+    pub fn required_times(&self, t_clk: f64, delay: impl Fn(NodeId) -> f64) -> Vec<f64> {
+        let mut required = vec![f64::INFINITY; self.num_nodes()];
+        for &o in &self.outputs {
+            required[o.index()] = t_clk;
+        }
+        for id in self.reverse_topo() {
+            if self.kind(id).is_gate() {
+                let req_at_input = required[id.index()] - delay(id);
+                for &f in self.fanin(id) {
+                    if req_at_input < required[f.index()] {
+                        required[f.index()] = req_at_input;
+                    }
+                }
+            }
+        }
+        required
+    }
+
+    /// The latest-arrival chain: from the output with the latest
+    /// `arrival` back through each gate's latest fanin to a primary input.
+    /// Returns node ids from input to output; ties go to the later node in
+    /// the output or fanin list.
+    pub fn latest_path(&self, arrival: impl Fn(NodeId) -> f64) -> Vec<NodeId> {
+        let latest = |ids: &[NodeId]| {
+            ids.iter()
+                .copied()
+                .max_by(|&a, &b| arrival(a).total_cmp(&arrival(b)))
+        };
+        let mut cur = latest(&self.outputs).expect("circuits have outputs");
+        let mut path = vec![cur];
+        while self.kind(cur).is_gate() {
+            cur = latest(self.fanin(cur)).expect("gates have fanin");
+            path.push(cur);
+        }
+        path.reverse();
+        path
+    }
 }
 
 /// Reusable scratch space for fanout-cone collection.

@@ -26,8 +26,6 @@ pub struct DeterministicOptimizer {
     /// Guard band as a fraction of `t_clk` (0.0 = optimize to the corner;
     /// 0.05 = keep the nominal path 5 % faster than the clock).
     pub guard_band: f64,
-    /// Maximum improvement passes.
-    pub max_passes: usize,
 }
 
 /// Outcome of a deterministic optimization.
@@ -55,11 +53,7 @@ impl DeterministicOptimizer {
 
     /// Creates a guard-banded optimizer (`guard_band` fraction of `t_clk`).
     pub fn with_guard_band(t_clk: f64, guard_band: f64) -> Self {
-        Self {
-            t_clk,
-            guard_band,
-            max_passes: 8,
-        }
+        Self { t_clk, guard_band }
     }
 
     /// The effective delay budget after guard banding.
@@ -86,7 +80,7 @@ impl DeterministicOptimizer {
         let initial = design.total_leakage_power_nominal();
         let mut check = NominalCheck { sta, budget };
         let ladder = [VthClass::Low, VthClass::High];
-        let (downsized_gates, passes) = moves::run(design, &mut check, &ladder, self.max_passes);
+        let (downsized_gates, passes) = moves::run(design, &mut check, &ladder);
         DetReport {
             initial_nominal_leakage: initial,
             final_nominal_leakage: design.total_leakage_power_nominal(),
@@ -112,6 +106,9 @@ pub struct DetYieldOutcome {
     pub achieved_yield: f64,
 }
 
+/// Bisection steps of [`deterministic_for_yield`]'s guard-band search.
+const BISECTION_STEPS: usize = 6;
+
 /// The corner methodology's answer to a yield requirement: pick a guard
 /// band, size and optimize against the banded budget, and check the yield
 /// *after the fact* with SSTA. This routine binary-searches the smallest
@@ -132,7 +129,6 @@ pub fn deterministic_for_yield(
     dmin: f64,
     t_clk: f64,
     eta: f64,
-    iterations: usize,
 ) -> Result<DetYieldOutcome, crate::SizeError> {
     use statleak_ssta::Ssta;
     let _span = obs::span!("opt.deterministic_flow");
@@ -154,18 +150,19 @@ pub fn deterministic_for_yield(
 
     // Largest guard band that is still sizable.
     let g_max = (1.0 - dmin / t_clk - 0.005).max(0.0);
-    let (mut lo, mut hi) = (0.0_f64, g_max);
-    let Some(mut best) = evaluate(hi) else {
+    let Some(widest) = evaluate(g_max) else {
         return Err(crate::SizeError {
             achieved: dmin,
             target: t_clk * (1.0 - g_max),
         });
     };
-    if best.achieved_yield < eta {
+    if widest.achieved_yield < eta {
         // Even the maximum margin misses the target: report best effort.
-        return Ok(best);
+        return Ok(widest);
     }
-    for _ in 0..iterations {
+    let mut best = widest.clone();
+    let (mut lo, mut hi) = (0.0_f64, g_max);
+    for _ in 0..BISECTION_STEPS {
         let mid = 0.5 * (lo + hi);
         match evaluate(mid) {
             Some(outcome) if outcome.achieved_yield >= eta => {
@@ -183,11 +180,24 @@ pub fn deterministic_for_yield(
     // objective (it has no statistical leakage model to compare with).
     // The probes are independent full runs, so they fan out on rayon; the
     // ordered collect plus a serial fold with the original strict-< rule
-    // keeps the selection bit-identical to the sequential loop.
+    // keeps the selection bit-identical to the sequential loop. Bands
+    // clamped to `g_max` collapse into one, which reuses the outcome
+    // already in hand: a repeated band could never win the strict `<`.
     let g_star = best.guard_band;
-    let probes: Vec<Option<DetYieldOutcome>> = vec![0.04, 0.08, 0.12]
+    let mut bands: Vec<f64> = [0.04, 0.08, 0.12]
+        .iter()
+        .map(|extra| (g_star + extra).min(g_max))
+        .collect();
+    bands.dedup();
+    let probes: Vec<Option<DetYieldOutcome>> = bands
         .into_par_iter()
-        .map(|extra| evaluate((g_star + extra).min(g_max)))
+        .map(|g| {
+            if g == g_max {
+                Some(widest.clone())
+            } else {
+                evaluate(g)
+            }
+        })
         .collect();
     for outcome in probes.into_iter().flatten() {
         if outcome.achieved_yield >= eta
@@ -274,7 +284,7 @@ mod tests {
         let base = Design::new(circuit, tech);
         let dmin = sizing::min_delay_estimate(&base);
         let t = dmin * 1.20;
-        let out = deterministic_for_yield(&base, &fm, dmin, t, 0.95, 6).unwrap();
+        let out = deterministic_for_yield(&base, &fm, dmin, t, 0.95).unwrap();
         assert!(out.achieved_yield >= 0.95, "yield {}", out.achieved_yield);
         assert!(out.guard_band > 0.0, "needs a nonzero band to reach 95%");
     }
@@ -295,7 +305,7 @@ mod tests {
     fn converges_within_pass_budget() {
         let (mut d, t) = sized_design("c1355", 1.10);
         let report = DeterministicOptimizer::new(t).optimize(&mut d);
-        assert!(report.passes <= 8);
+        assert!(report.passes <= moves::MAX_PASSES);
         // Re-running is a no-op (fixed point).
         let again = DeterministicOptimizer::new(t).optimize(&mut d);
         assert!(

@@ -30,15 +30,17 @@ pub(crate) trait TimingCheck: Sync {
     fn accepted(&mut self, _design: &Design, _g: NodeId) {}
 }
 
-/// Runs up to `max_passes` passes of Vth promotion up `ladder` (ascending)
-/// and downsizing, each move kept only if `check` accepts it, until a pass
-/// accepts nothing. Returns the accepted downsizing moves and the passes
-/// run.
+/// The most passes [`run`] makes.
+pub(crate) const MAX_PASSES: usize = 8;
+
+/// Runs up to [`MAX_PASSES`] passes of Vth promotion up `ladder`
+/// (ascending) and downsizing, each move kept only if `check` accepts it,
+/// until a pass accepts nothing. Returns the accepted downsizing moves and
+/// the passes run.
 pub(crate) fn run(
     design: &mut Design,
     check: &mut impl TimingCheck,
     ladder: &[VthClass],
-    max_passes: usize,
 ) -> (usize, usize) {
     // Per-move telemetry is batched in locals and flushed to the global
     // counters once per run, keeping atomic traffic out of the loop.
@@ -47,7 +49,7 @@ pub(crate) fn run(
     let mut downsized = 0usize;
     let mut passes = 0usize;
 
-    for _ in 0..max_passes {
+    for _ in 0..MAX_PASSES {
         passes += 1;
         let mut accepted = 0usize;
 
@@ -235,7 +237,7 @@ impl TimingCheck for YieldCheck<'_> {
             .ssta
             .clock_for_yield(self.floor.clamp(1e-9, 1.0 - 1e-9));
         let t_eff = self.t_clk - (t_floor - self.ssta.circuit_delay().mean);
-        self.ssta.mean_slack(design, t_eff, 0.0)
+        self.ssta.mean_slack(design, t_eff)
     }
 
     fn leakage(&self, _design: &Design, g: NodeId) -> f64 {

@@ -43,8 +43,6 @@ pub struct StatisticalOptimizer {
     /// Timing-yield floor `η`: every accepted move keeps
     /// `P(D ≤ t_clk) ≥ η`.
     pub yield_target: f64,
-    /// Maximum improvement passes.
-    pub max_passes: usize,
     /// The Vth ladder, ascending: each pass tries to promote every gate to
     /// the next rung. `[Low, High]` is the paper's dual-Vth setup;
     /// `[Low, Mid, High]` enables the triple-Vth extension.
@@ -80,7 +78,6 @@ impl StatisticalOptimizer {
         Self {
             t_clk,
             yield_target: 0.99,
-            max_passes: 8,
             vth_levels: vec![VthClass::Low, VthClass::High],
         }
     }
@@ -123,8 +120,7 @@ impl StatisticalOptimizer {
             trace: Vec::new(),
         };
         let initial_objective = check.record(design).objective;
-        let (downsized_gates, passes) =
-            moves::run(design, &mut check, &self.vth_levels, self.max_passes);
+        let (downsized_gates, passes) = moves::run(design, &mut check, &self.vth_levels);
         StatReport {
             initial_objective,
             final_objective: check.objective(design),
@@ -340,7 +336,7 @@ mod tests {
         let t = dmin * 1.20;
 
         // Deterministic flow with its best possible guard band.
-        let det = crate::deterministic_for_yield(&base, &fm, dmin, t, eta, 6).unwrap();
+        let det = crate::deterministic_for_yield(&base, &fm, dmin, t, eta).unwrap();
         assert!(
             det.achieved_yield >= eta,
             "det yield {}",

@@ -452,36 +452,18 @@ impl Ssta {
     }
 
     /// An approximate statistical slack for each node against a clock
-    /// period: deterministic backward pass over *mean* delays, minus `k`
-    /// sigma of the node's arrival. Used only to order optimizer
-    /// candidates (feasibility is always re-checked with the full yield).
-    pub fn mean_slack(&self, design: &Design, t_clk: f64, k_sigma: f64) -> Vec<f64> {
-        let circuit = design.circuit();
-        let n = circuit.num_nodes();
-        let mut required = vec![f64::INFINITY; n];
-        for &o in circuit.outputs() {
-            required[o.index()] = t_clk;
-        }
-        for id in circuit.reverse_topo() {
-            if circuit.kind(id).is_gate() {
-                let req_at_input = required[id.index()] - self.mean_gate_delay(design, id);
-                for &f in circuit.fanin(id) {
-                    if req_at_input < required[f.index()] {
-                        required[f.index()] = req_at_input;
-                    }
-                }
-            }
-        }
-        (0..n)
-            .map(|i| {
-                let a = &self.arrival[i];
-                required[i] - (a.mean + k_sigma * a.variance.sqrt())
-            })
+    /// period: deterministic backward pass over nominal delays, minus the
+    /// node's mean arrival. Used only to order optimizer candidates
+    /// (feasibility is always re-checked with the full yield).
+    pub fn mean_slack(&self, design: &Design, t_clk: f64) -> Vec<f64> {
+        let required = design
+            .circuit()
+            .required_times(t_clk, |id| design.gate_delay_nominal(id));
+        required
+            .iter()
+            .zip(&self.arrival)
+            .map(|(r, a)| r - a.mean)
             .collect()
-    }
-
-    fn mean_gate_delay(&self, design: &Design, id: NodeId) -> f64 {
-        design.gate_delay_nominal(id)
     }
 
     /// Computes the canonical *path-through* delay of every node: the
@@ -570,33 +552,9 @@ impl Ssta {
     /// the worst output back to a primary input, input first. Used by the
     /// statistical sizer to pick upsizing candidates.
     pub fn mean_critical_path(&self, design: &Design) -> Vec<NodeId> {
-        let circuit = design.circuit();
-        let mut cur = *circuit
-            .outputs()
-            .iter()
-            .max_by(|a, b| {
-                self.arrival[a.index()]
-                    .mean
-                    .total_cmp(&self.arrival[b.index()].mean)
-            })
-            .expect("circuits have outputs");
-        let mut path = vec![cur];
-        while circuit.kind(cur).is_gate() {
-            let prev = circuit
-                .fanin(cur)
-                .iter()
-                .copied()
-                .max_by(|a, b| {
-                    self.arrival[a.index()]
-                        .mean
-                        .total_cmp(&self.arrival[b.index()].mean)
-                })
-                .expect("gates have fanin");
-            path.push(prev);
-            cur = prev;
-        }
-        path.reverse();
-        path
+        design
+            .circuit()
+            .latest_path(|id| self.arrival[id.index()].mean)
     }
 }
 
@@ -713,7 +671,7 @@ mod tests {
         let (d, fm) = setup("c880");
         let ssta = Ssta::analyze(&d, &fm);
         let t = ssta.circuit_delay().mean * 0.9;
-        let slacks = ssta.mean_slack(&d, t, 0.0);
+        let slacks = ssta.mean_slack(&d, t);
         assert!(slacks.iter().copied().fold(f64::INFINITY, f64::min) < 0.0);
     }
 

@@ -223,29 +223,14 @@ impl Sta {
     /// (ps). Primary outputs are required at `t_clk`; slack of a node is
     /// `required − arrival`.
     pub fn slacks(&self, design: &Design, t_clk: f64) -> Slacks {
-        let circuit = design.circuit();
-        let n = circuit.num_nodes();
-        let mut required = vec![f64::INFINITY; n];
-        for &o in circuit.outputs() {
-            required[o.index()] = t_clk;
-        }
-        for id in circuit.reverse_topo() {
-            let req = required[id.index()];
-            if req.is_infinite() && !circuit.is_output(id) && circuit.node(id).fanout.is_empty() {
-                continue;
-            }
-            let node = circuit.node(id);
-            if node.kind.is_gate() {
-                let d = design.gate_delay_nominal(id);
-                let req_at_input = req - d;
-                for &f in node.fanin {
-                    if req_at_input < required[f.index()] {
-                        required[f.index()] = req_at_input;
-                    }
-                }
-            }
-        }
-        let slack = (0..n).map(|i| required[i] - self.arrival[i]).collect();
+        let required = design
+            .circuit()
+            .required_times(t_clk, |id| design.gate_delay_nominal(id));
+        let slack = required
+            .iter()
+            .zip(&self.arrival)
+            .map(|(r, a)| r - a)
+            .collect();
         Slacks { required, slack }
     }
 
@@ -253,26 +238,7 @@ impl Sta {
     /// output back to a primary input. Returns node ids from input to
     /// output.
     pub fn critical_path(&self, design: &Design) -> Vec<NodeId> {
-        let circuit = design.circuit();
-        let mut cur = *circuit
-            .outputs()
-            .iter()
-            .max_by(|a, b| self.arrival[a.index()].total_cmp(&self.arrival[b.index()]))
-            .expect("circuits have outputs");
-        let mut path = vec![cur];
-        while circuit.node(cur).kind.is_gate() {
-            let prev = circuit
-                .node(cur)
-                .fanin
-                .iter()
-                .copied()
-                .max_by(|a, b| self.arrival[a.index()].total_cmp(&self.arrival[b.index()]))
-                .expect("gates have fanin");
-            path.push(prev);
-            cur = prev;
-        }
-        path.reverse();
-        path
+        design.circuit().latest_path(|id| self.arrival[id.index()])
     }
 }
 

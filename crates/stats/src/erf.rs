@@ -4,7 +4,7 @@
 //! (as popularized in Numerical Recipes' `erfc` with |relative error|
 //! below 1.2e-7 everywhere, which is ample for yield computations), and
 //! `phi_inv` uses Peter Acklam's rational approximation refined by one
-//! Halley step to near machine precision.
+//! Halley step against `phi`.
 
 /// The standard normal probability density function.
 ///
@@ -69,8 +69,13 @@ pub fn phi(x: f64) -> f64 {
 
 /// Inverse of the standard normal CDF, `Φ⁻¹(p)`.
 ///
-/// Uses Acklam's rational approximation followed by one Halley refinement
-/// step, accurate to ~1e-13 over `(0, 1)`.
+/// Uses Acklam's rational approximation (relative error ~1.2e-9)
+/// followed by one Halley refinement step against [`phi`], so
+/// `phi(phi_inv(p))` returns `p` to ~1e-13 relative down to p ≈ 1e-310.
+/// Against the exact quantile it is only as accurate as [`phi`]: within
+/// ~1e-7. Below p ≈ 1e-310 the refinement would overflow, and Acklam's
+/// value is returned unrefined (still finite down to the smallest
+/// subnormal).
 ///
 /// # Panics
 ///
@@ -129,10 +134,17 @@ pub fn phi_inv(p: f64) -> f64 {
             / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
     };
 
-    // One Halley refinement step for near machine precision.
+    // One Halley refinement step against `phi`. Below p ≈ 1e-310 the
+    // step's `exp(x²/2)` overflows and the correction is NaN; Acklam's
+    // value stands there.
     let e = phi(x) - p;
     let u = e * (2.0 * std::f64::consts::PI).sqrt() * (0.5 * x * x).exp();
-    x - u / (1.0 + 0.5 * x * u)
+    let refined = x - u / (1.0 + 0.5 * x * u);
+    if refined.is_finite() {
+        refined
+    } else {
+        x
+    }
 }
 
 #[cfg(test)]
@@ -168,6 +180,22 @@ mod tests {
         for &p in &[1e-6, 0.001, 0.025, 0.2, 0.5, 0.8, 0.95, 0.999, 1.0 - 1e-6] {
             let x = phi_inv(p);
             assert!((phi(x) - p).abs() < 1e-8, "p={p} x={x} phi={}", phi(x));
+        }
+    }
+
+    #[test]
+    fn phi_inv_is_finite_deep_in_the_tail() {
+        // Here the Halley step's exp(x²/2) overflows; the unrefined value
+        // must come back instead of NaN.
+        for (p, near) in [(5e-324, -38.4674), (1e-320, -38.2691)] {
+            let x = phi_inv(p);
+            assert!((x - near).abs() < 1e-4, "p={p:e} x={x}");
+            // One subnormal step of slack: nothing finer exists here.
+            let back = phi(x);
+            assert!(
+                (back - p).abs() <= 1e-6 * p + 5e-324,
+                "p={p:e} phi={back:e}"
+            );
         }
     }
 

@@ -277,6 +277,24 @@ fn infeasible_target_exits_with_infeasible_code() {
     assert!(!stderr.contains("sizing: sizing"), "{stderr}");
 }
 
+/// A yield target deep in the subnormal range is met by any design, so
+/// the run succeeds; `Φ⁻¹(η)` must not turn it into a NaN clock.
+#[test]
+fn subnormal_eta_is_feasible() {
+    let out = statleak(&[
+        "optimize",
+        "--input",
+        "c17",
+        "--eta",
+        "1e-320",
+        "--mc-samples",
+        "0",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("NaN"), "{stderr}");
+}
+
 #[test]
 fn help_flag_succeeds_anywhere() {
     let out = statleak(&["analyze", "--help"]);
